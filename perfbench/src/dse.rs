@@ -31,8 +31,9 @@ pub const REPS: usize = 6;
 
 /// Set-ups timed before the measured rounds, after one untimed warm-up
 /// (the first-touch costs of a fresh process are not set-up work);
-/// `setup_s` is their median.
-const SETUPS: usize = 15;
+/// `setup_s` is their median. One takes under a millisecond, so many are
+/// needed for a steady median.
+const SETUPS: usize = 51;
 
 /// A value a manifest axis can take.
 #[derive(Debug, Clone, Copy)]
@@ -254,22 +255,23 @@ pub struct Sweep {
     pub scenarios: usize,
     /// Scenario index → golden report, for every default scenario.
     pub golden: BTreeMap<usize, ExperimentReport>,
-    /// Seconds spent building the registry and generating and expanding
-    /// the manifest: the workload's set-up.
+    /// Seconds spent building the registry and expanding the manifest:
+    /// the program's set-up of the workload.
     pub setup_s: f64,
 }
 
-/// Builds the registry, generates and expands the manifest (timed as the
-/// set-up) and loads the goldens of its default scenarios.
+/// Generates the manifest, builds the registry and expands the manifest
+/// (the last two timed as the set-up) and loads the goldens of its
+/// default scenarios.
 ///
 /// # Errors
 ///
 /// Reports a manifest that does not expand or a missing golden.
 pub fn setup(seed: u64, reps: usize) -> Result<Sweep, String> {
+    let manifest = manifest(seed, reps);
     let t = Instant::now();
     let log = Arc::new(CallLog::default());
     let registry = timed_registry(&log);
-    let manifest = manifest(seed, reps);
     let items = campaign::expand_manifest(&manifest, &registry)?;
     let setup_s = t.elapsed().as_secs_f64();
     let golden_dir = repo_root().join("tests").join("golden");

@@ -1,11 +1,13 @@
-//! `iss_programs`: generated RV32IM programs on the `scf` simulators.
+//! `iss_programs` and `iss_cluster`: generated RV32IM programs on the
+//! `scf` simulators, one workload per engine so that each is bounded on
+//! its own.
 //!
-//! Hart programs run through `Cpu::run` on a `FlatMemory`: arithmetic,
-//! mul/div and load/store loops whose hot code ranges from a few basic
-//! blocks to far more than the 256-slot block cache holds. Cluster
-//! programs run through `MulticoreCluster::run`: `vector_add_program` and
-//! generated SPMD TCDM kernels over varied core counts, bank counts and
-//! lengths.
+//! `iss_programs` runs hart programs through `Cpu::run` on a
+//! `FlatMemory`: arithmetic, mul/div and load/store loops whose hot code
+//! ranges from a few basic blocks to far more than the 256-slot block
+//! cache holds. `iss_cluster` runs cluster programs through
+//! `MulticoreCluster::run`: `vector_add_program` and generated SPMD TCDM
+//! kernels over varied core counts, bank counts and lengths.
 //!
 //! Programs are written in a small instruction list ([`I`]) that is both
 //! encoded to RV32IM words and executed by [`Machine`], an interpreter
@@ -25,10 +27,6 @@ use f2_scf::multicore::{
 use crate::layers::{interleave, Counters};
 use crate::outcome::{Outcome, RunConfig};
 use crate::stats::{digest, median, peak_rss_mb, quantile_of, reset_peak_rss};
-
-/// Set-ups timed before the measured passes, after one untimed warm-up;
-/// `setup_s` is their median.
-const SETUPS: usize = 5;
 
 /// Hart memory size; code starts at 0, data at [`DATA_BASE`].
 const HART_MEM: usize = 64 * 1024;
@@ -691,13 +689,22 @@ pub struct SetSize {
     pub map_budget: u64,
 }
 
-/// The benchmark's program set size.
-pub const BENCH_SET: SetSize = SetSize {
-    variants: 4,
-    hart_budget: 150_000,
-    vector_adds: 16,
-    maps: 24,
-    map_budget: 150_000,
+/// The `iss_programs` program set: hart programs only.
+pub const HART_SET: SetSize = SetSize {
+    variants: 64,
+    hart_budget: 30_000,
+    vector_adds: 0,
+    maps: 0,
+    map_budget: 0,
+};
+
+/// The `iss_cluster` program set: cluster programs only.
+pub const CLUSTER_SET: SetSize = SetSize {
+    variants: 0,
+    hart_budget: 0,
+    vector_adds: 200,
+    maps: 800,
+    map_budget: 20_000,
 };
 
 /// Generates the program set for `seed`.
@@ -863,6 +870,7 @@ fn run_cluster(c: &ClusterProgram) -> Result<(RunTiming, MulticoreReport), Strin
 struct Pass {
     /// Host seconds the pass took, checks included.
     wall_s: f64,
+    hart_setup_s: f64,
     hart_run_s: f64,
     hart_instret: u64,
     cluster_build_s: f64,
@@ -875,19 +883,29 @@ struct Pass {
     runs: Vec<Option<(u64, f64)>>,
 }
 
+/// Retired instructions and median run time (host seconds, set-up
+/// included) over `passes` of each program in `range` that ran, so that
+/// a run host noise slowed down moves neither the rates nor the
+/// latency percentiles.
+fn program_times(passes: &[Pass], range: std::ops::Range<usize>) -> Vec<(u64, f64)> {
+    range
+        .filter_map(|i| {
+            let runs: Vec<(u64, f64)> = passes.iter().filter_map(|p| p.runs[i]).collect();
+            let (instret, _) = *runs.first()?;
+            Some((
+                instret,
+                median(&runs.iter().map(|r| r.1).collect::<Vec<_>>()),
+            ))
+        })
+        .collect()
+}
+
 /// Simulated instructions per host second over the programs in `range`,
-/// each program timed by its median run over `passes`, so a run that host
-/// noise slowed down does not move the rate.
+/// each program timed by its median run.
 fn rate(passes: &[Pass], range: std::ops::Range<usize>) -> f64 {
-    let (mut instret, mut secs) = (0u64, 0.0);
-    for i in range {
-        let runs: Vec<(u64, f64)> = passes.iter().filter_map(|p| p.runs[i]).collect();
-        if let Some((n, _)) = runs.first() {
-            instret += n;
-            secs += median(&runs.iter().map(|r| r.1).collect::<Vec<_>>());
-        }
-    }
-    instret as f64 / secs
+    let times = program_times(passes, range);
+    let instret: u64 = times.iter().map(|t| t.0).sum();
+    instret as f64 / times.iter().map(|t| t.1).sum::<f64>()
 }
 
 /// Runs every program once. `reference` holds each program's simulated
@@ -900,6 +918,7 @@ fn pass(set: &ProgramSet, reference: &mut Vec<Vec<u64>>, out: &mut Outcome) -> P
         out.attempted += 1;
         match run_hart(h) {
             Ok(t) => {
+                p.hart_setup_s += t.setup_s;
                 p.hart_run_s += t.run_s;
                 p.hart_instret += t.instret;
                 p.runs.push(Some((t.instret, t.setup_s + t.run_s)));
@@ -1008,46 +1027,62 @@ pub(crate) fn bb_metrics(counters: &Counters, per: f64, out: &mut Outcome) {
     );
 }
 
-/// Runs the `iss_programs` workload on a program set of `size`.
+/// Runs an ISS workload on a program set of `size` (`HART_SET` is
+/// `iss_programs`, `CLUSTER_SET` is `iss_cluster`).
 pub fn run(cfg: RunConfig, size: SetSize) -> Outcome {
     run_with(cfg, || program_set(cfg.seed, size))
 }
 
-/// Runs the workload on program sets built by `make` (timed as set-up).
+/// Runs the workload on the program set `make` builds. Generating the
+/// programs and running the reference model is the benchmark's own work
+/// and is not timed; `setup_s` is the program's set-up of each run
+/// (`FlatMemory`, preload and `Cpu`, or `spmd` and TCDM preload), summed
+/// per pass, median over the passes.
 pub fn run_with(cfg: RunConfig, make: impl Fn() -> ProgramSet) -> Outcome {
     let mut out = Outcome::default();
-    let set_up = |setups: &mut Vec<f64>| {
-        let t = Instant::now();
-        let set = make();
-        setups.push(t.elapsed().as_secs_f64());
-        set
-    };
-    make();
-    let mut setups = Vec::new();
-    let mut set = set_up(&mut setups);
-    for _ in 1..SETUPS {
-        set = set_up(&mut setups);
-    }
-
+    let set = make();
     let mut reference = Vec::new();
     let (harts, all) = (0..set.harts.len(), 0..set.harts.len() + set.clusters.len());
     let clusters = harts.end..all.end;
+    let mips = |passes: &[Pass], out: &mut Outcome| {
+        if !harts.is_empty() {
+            out.set(
+                "iss.hart_mips",
+                rate(passes, harts.clone()) / 1e6,
+                "instr/us",
+            );
+        }
+        if !clusters.is_empty() {
+            out.set(
+                "iss.cluster_mips",
+                rate(passes, clusters.clone()) / 1e6,
+                "instr/us",
+            );
+        }
+    };
     if !cfg.trace {
         reset_peak_rss();
         let plain = passes(&set, cfg.seconds, &mut reference, &mut out);
         let peak_rss = peak_rss_mb();
         lockstep_check(&set, &mut out);
-        let lat: Vec<f64> = plain
+        // Latency percentiles are over the programs (about a thousand, so
+        // ten lie beyond the p99), each at its median run.
+        let lat: Vec<f64> = program_times(&plain, all.clone())
             .iter()
-            .flat_map(|p| p.runs.iter().flatten().map(|r| r.1 * 1e3))
+            .map(|t| t.1 * 1e3)
+            .collect();
+        let runs = plain.iter().flat_map(|p| p.runs.iter().flatten()).count();
+        let setups: Vec<f64> = plain
+            .iter()
+            .map(|p| p.hart_setup_s + p.cluster_build_s)
             .collect();
         out.set("setup_s", median(&setups), "s");
         out.set("throughput_per_s", rate(&plain, all), "1/s");
-        out.set("iss.hart_mips", rate(&plain, harts) / 1e6, "instr/us");
-        out.set("iss.cluster_mips", rate(&plain, clusters) / 1e6, "instr/us");
+        mips(&plain, &mut out);
         out.set("p50_ms", quantile_of(&lat, 0.5), "ms");
         out.set("p99_ms", quantile_of(&lat, 0.99), "ms");
-        out.set("iss.program_samples", lat.len() as f64, "count");
+        out.set("iss.programs", lat.len() as f64, "count");
+        out.set("iss.runs", runs as f64, "count");
         out.set("peak_rss_mb", peak_rss, "MiB");
         return out;
     }
@@ -1080,12 +1115,7 @@ pub fn run_with(cfg: RunConfig, make: impl Fn() -> ProgramSet) -> Outcome {
         "count",
     );
     bb_metrics(&counters, n, &mut out);
-    out.set("iss.hart_mips", rate(&traced, harts) / 1e6, "instr/us");
-    out.set(
-        "iss.cluster_mips",
-        rate(&traced, clusters) / 1e6,
-        "instr/us",
-    );
+    mips(&traced, &mut out);
     // Hart set-up (memory, preload, core) is measured but belongs to no
     // simulator layer; it is reported inside the unattributed share.
     let attributed = sum(|p| p.hart_run_s + p.cluster_build_s + p.cluster_run_s);

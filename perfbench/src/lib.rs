@@ -1,11 +1,11 @@
 //! End-to-end benchmark of the ICSC Flagship 2 reproduction.
 //!
-//! Three seeded workloads drive the workspace through its public entry
-//! points — a design-space campaign ([`dse`]), the `scf` RV32IM simulators
-//! ([`iss`]) and the experiment service ([`serve`]) — check every output,
-//! and report end-to-end metrics (untraced run) or per-layer metrics
-//! (traced run). `README.md` next to this crate documents the workloads
-//! and metrics.
+//! Four seeded workloads drive the workspace through its public entry
+//! points — a design-space campaign ([`dse`]), the two `scf` RV32IM
+//! simulators ([`iss`]) and the experiment service ([`serve`]) — check
+//! every output, and report end-to-end metrics (untraced run) or
+//! per-layer metrics (traced run). `README.md` next to this crate
+//! documents the workloads and metrics.
 
 pub mod dse;
 pub mod iss;
@@ -18,7 +18,7 @@ use f2_core::json::{Json, ToJson};
 use outcome::{Outcome, RunConfig};
 
 /// The benchmark's workloads.
-pub const WORKLOADS: [&str; 3] = ["dse_sweep", "iss_programs", "serve_mixed"];
+pub const WORKLOADS: [&str; 4] = ["dse_sweep", "iss_programs", "iss_cluster", "serve_mixed"];
 
 /// End-to-end metrics every untraced run reports, with their units.
 pub const END_TO_END: [(&str, &str); 5] = [
@@ -31,7 +31,7 @@ pub const END_TO_END: [(&str, &str); 5] = [
 
 /// Per-layer metrics every traced run reports (0 where a workload does
 /// not exercise the layer), with their units.
-pub const PER_LAYER: [(&str, &str); 44] = [
+pub const PER_LAYER: [(&str, &str); 45] = [
     ("campaign.expand_ms", "ms"),
     ("dna.busy_s", "s"),
     ("dna.calls", "count"),
@@ -74,6 +74,7 @@ pub const PER_LAYER: [(&str, &str); 44] = [
     ("serve.miss.p50_ms", "ms"),
     ("serve.miss.p90_ms", "ms"),
     ("serve.gen_late.p99_ms", "ms"),
+    ("serve.gen_jitter.p99_ms", "ms"),
     ("unattributed_frac", "ratio"),
     ("trace_overhead_frac", "ratio"),
 ];
@@ -83,7 +84,8 @@ pub fn run_workload(name: &str, cfg: RunConfig) -> Option<Outcome> {
     stats::reset_peak_rss();
     let out = match name {
         "dse_sweep" => dse::run(cfg, dse::REPS),
-        "iss_programs" => iss::run(cfg, iss::BENCH_SET),
+        "iss_programs" => iss::run(cfg, iss::HART_SET),
+        "iss_cluster" => iss::run(cfg, iss::CLUSTER_SET),
         "serve_mixed" => serve::run(cfg),
         _ => return None,
     };
@@ -115,6 +117,41 @@ pub fn result_json(out: &Outcome, trace: bool) -> Json {
         ),
         ("attempted".to_string(), out.attempted.max(1).to_json()),
         ("failed".to_string(), out.failed.to_json()),
+        ("metrics".to_string(), Json::Obj(metrics)),
+    ])
+}
+
+/// Combines the result lines of several workloads (`None` for one that
+/// gave no result) into one: attempted and failed operations add up, the
+/// run is correct only if every workload's is, and each metric is keyed
+/// `<workload>.<metric>`.
+pub fn combine(results: &[(&str, Option<Json>)]) -> Json {
+    let (mut correct, mut attempted, mut failed) = (true, 0.0, 0.0);
+    let mut metrics = Vec::new();
+    for (name, result) in results {
+        let field = |key: &str| result.as_ref().and_then(|r| r.get(key));
+        let ok = field("correct").and_then(Json::as_bool) == Some(true);
+        correct &= ok;
+        match (field("attempted"), field("failed")) {
+            (Some(Json::Num(a)), Some(Json::Num(f))) => {
+                attempted += a;
+                failed += f;
+            }
+            _ => {
+                attempted += 1.0;
+                failed += 1.0;
+            }
+        }
+        if let Some(Json::Obj(ms)) = field("metrics") {
+            for (metric, value) in ms {
+                metrics.push((format!("{name}.{metric}"), value.clone()));
+            }
+        }
+    }
+    Json::Obj(vec![
+        ("correct".to_string(), correct.to_json()),
+        ("attempted".to_string(), Json::Num(attempted)),
+        ("failed".to_string(), Json::Num(failed)),
         ("metrics".to_string(), Json::Obj(metrics)),
     ])
 }

@@ -1,15 +1,15 @@
 //! `serve_mixed`: open-loop `POST /run` traffic against an in-process
 //! `f2_core::serve` server.
 //!
-//! Ten requests in eleven read a primed key set (cache hits); every
-//! eleventh runs `imc_energy` at quick fidelity with a fresh seed (a miss
-//! that computes and inserts). Arrivals are a seeded Poisson process at
-//! one fixed rate, dealt round-robin to `nproc` keep-alive connections;
-//! the seed also picks the keys, the miss seeds and which slot of eleven
-//! misses. Every request is timed from its *scheduled* send time, so a
-//! connection stuck behind a slow response charges the wait to the
-//! requests queued behind it; how late the generator itself ran is
-//! reported separately.
+//! About nine requests in ten read a primed key set (cache hits); the
+//! rest run `imc_energy` at quick fidelity with a fresh seed (a miss that
+//! computes and inserts). Arrivals are a seeded Poisson process at one
+//! fixed rate, dealt round-robin to `nproc` keep-alive connections; the
+//! seed also picks which requests miss, the keys and the miss seeds.
+//! Every request is timed from its *scheduled* send time, so a connection
+//! stuck behind a slow response charges the wait to the requests queued
+//! behind it; how late the generator ran, and how late it woke on an idle
+//! connection (its own jitter), are reported separately.
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -27,26 +27,19 @@ use f2_core::trace;
 
 use crate::layers::{timed_registry, CallLog};
 use crate::outcome::{Outcome, RunConfig, ScratchDir};
-use crate::stats::{
-    median, ms, nproc, peak_rss_mb, quantile_of, reset_peak_rss, windowed_quantile,
-};
+use crate::stats::{median, ms, nproc, peak_rss_mb, quantile_of, reset_peak_rss};
 
 /// Offered load, requests per second (mean of the Poisson arrivals).
-const RATE_RPS: f64 = 200.0;
-/// One request in `MISS_EVERY` misses the cache: a fixed stride, so the
-/// tail is set by queueing behind single misses rather than by how often
-/// a random draw puts misses back to back. Odd, so misses alternate
-/// between two connections.
-const MISS_EVERY: usize = 11;
-/// Requests per window of the windowed percentiles (ten beyond a p99).
-const WINDOW: usize = 1000;
+const RATE_RPS: f64 = 300.0;
+/// Share of requests that miss the cache, drawn per request.
+const MISS_FRAC: f64 = 0.1;
 /// Primed (hit) keys per experiment of [`HIT_SPACE`].
 const KEYS_PER_EXPERIMENT: usize = 4;
 /// Size of the primed (hit) key set.
 pub const HIT_KEYS: usize = KEYS_PER_EXPERIMENT * HIT_SPACE.len();
 /// Server boots (with cache priming) timed before the window, after one
 /// untimed warm-up boot; the last one serves the traffic, and `setup_s`
-/// adds their median to the schedule generation.
+/// is their median.
 const SETUPS: usize = 3;
 
 /// A `/run` request body.
@@ -113,7 +106,6 @@ pub fn traffic(seed: u64, seconds: f64) -> Traffic {
         }
     }
     let mut rng = rng_for(seed, "perfbench/serve/schedule");
-    let miss_slot = rng.gen_range(0..MISS_EVERY);
     let mut schedule = Vec::new();
     let mut t = 0.0;
     loop {
@@ -122,7 +114,7 @@ pub fn traffic(seed: u64, seconds: f64) -> Traffic {
         if t >= seconds {
             break;
         }
-        let hit = (schedule.len() % MISS_EVERY != miss_slot).then(|| rng.gen_range(0..HIT_KEYS));
+        let hit = (!rng.gen_bool(MISS_FRAC)).then(|| rng.gen_range(0..HIT_KEYS));
         let body = match hit {
             Some(k) => hit_keys[k].clone(),
             None => body(
@@ -233,6 +225,9 @@ struct Sample {
     sent_latency_ms: f64,
     /// Scheduled → actual send, milliseconds.
     late_ms: f64,
+    /// Whether the connection was idle when the request fell due, so
+    /// that `late_ms` is the generator's own wake-up jitter.
+    on_idle: bool,
     /// Miss-key response body (kept for the replay check).
     miss_body: Option<Vec<u8>>,
 }
@@ -279,7 +274,8 @@ fn drive(
                     {
                         let due = start + slot.at;
                         let now = Instant::now();
-                        if due > now {
+                        let on_idle = due > now;
+                        if on_idle {
                             std::thread::sleep(due - now);
                         }
                         let sent = Instant::now();
@@ -297,6 +293,7 @@ fn drive(
                                         latency_ms: ms(end.duration_since(due)),
                                         sent_latency_ms: ms(end.duration_since(sent)),
                                         late_ms: ms(sent.saturating_duration_since(due)),
+                                        on_idle,
                                         miss_body: slot.hit.is_none().then_some(a.body),
                                     })
                                 }),
@@ -489,9 +486,7 @@ pub fn run_with(cfg: RunConfig, make: impl Fn(f64) -> Traffic) -> Outcome {
         cfg.seconds
     };
     let mut setups = Vec::new();
-    let t = Instant::now();
     let traffic = make(window);
-    let generate_s = t.elapsed().as_secs_f64();
     let plain = serve_pass(
         &traffic,
         flagship2::experiments::registry,
@@ -505,14 +500,20 @@ pub fn run_with(cfg: RunConfig, make: impl Fn(f64) -> Traffic) -> Outcome {
     if !cfg.trace {
         let misses = latencies(&plain.samples, &traffic, false);
         let late: Vec<f64> = plain.samples.iter().map(|s| s.late_ms).collect();
+        let jitter: Vec<f64> = plain
+            .samples
+            .iter()
+            .filter(|s| s.on_idle)
+            .map(|s| s.late_ms)
+            .collect();
         out.set(
             "throughput_per_s",
             plain.samples.len() as f64 / plain.window_s,
             "1/s",
         );
         let all: Vec<f64> = plain.samples.iter().map(|s| s.latency_ms).collect();
-        out.set("p50_ms", windowed_quantile(&all, 0.5, WINDOW), "ms");
-        out.set("p99_ms", windowed_quantile(&all, 0.99, WINDOW), "ms");
+        out.set("p50_ms", quantile_of(&all, 0.5), "ms");
+        out.set("p99_ms", quantile_of(&all, 0.99), "ms");
         out.set("serve.hit.p50_ms", quantile_of(&hits, 0.5), "ms");
         out.set("serve.hit.p99_ms", quantile_of(&hits, 0.99), "ms");
         out.set("serve.miss.p50_ms", quantile_of(&misses, 0.5), "ms");
@@ -520,7 +521,8 @@ pub fn run_with(cfg: RunConfig, make: impl Fn(f64) -> Traffic) -> Outcome {
         out.set("serve.hit.samples", hits.len() as f64, "count");
         out.set("serve.miss.samples", misses.len() as f64, "count");
         out.set("serve.gen_late.p99_ms", quantile_of(&late, 0.99), "ms");
-        out.set("setup_s", generate_s + median(&setups), "s");
+        out.set("serve.gen_jitter.p99_ms", quantile_of(&jitter, 0.99), "ms");
+        out.set("setup_s", median(&setups), "s");
         out.set("peak_rss_mb", plain.peak_rss_mb, "MiB");
         return out;
     }
@@ -548,11 +550,14 @@ pub fn run_with(cfg: RunConfig, make: impl Fn(f64) -> Traffic) -> Outcome {
         }
     }
     let log = read_log(&log_path);
-    let (mut queue_hit, mut queue_miss, mut run_miss, mut wire, mut late) =
-        (vec![], vec![], vec![], vec![], vec![]);
+    let (mut queue_hit, mut queue_miss, mut run_miss, mut wire, mut late, mut jitter) =
+        (vec![], vec![], vec![], vec![], vec![], vec![]);
     let (mut unattributed, mut total_latency) = (0.0, 0.0);
     for s in &traced.samples {
         late.push(s.late_ms);
+        if s.on_idle {
+            jitter.push(s.late_ms);
+        }
         total_latency += s.latency_ms;
         let Some(rec) = log.get(&trace_id(s.index)) else {
             out.fail(format!("request {}: no access-log record", s.index));
@@ -611,6 +616,10 @@ pub fn run_with(cfg: RunConfig, make: impl Fn(f64) -> Traffic) -> Outcome {
     out.set("serve.run.p50_ms", quantile_of(&run_miss, 0.5), "ms");
     out.set("serve.run.p90_ms", quantile_of(&run_miss, 0.9), "ms");
     out.set("serve.gen_late.p99_ms", quantile_of(&late, 0.99), "ms");
+    out.set("serve.gen_jitter.p99_ms", quantile_of(&jitter, 0.99), "ms");
+    let traced_hits = latencies(&traced.samples, &traffic, true);
+    out.set("serve.hit.p50_ms", quantile_of(&traced_hits, 0.5), "ms");
+    out.set("serve.hit.p99_ms", quantile_of(&traced_hits, 0.99), "ms");
     let traced_misses = latencies(&traced.samples, &traffic, false);
     out.set("serve.miss.p50_ms", quantile_of(&traced_misses, 0.5), "ms");
     out.set("serve.miss.p90_ms", quantile_of(&traced_misses, 0.9), "ms");
@@ -619,7 +628,6 @@ pub fn run_with(cfg: RunConfig, make: impl Fn(f64) -> Traffic) -> Outcome {
         unattributed / total_latency.max(f64::MIN_POSITIVE),
         "ratio",
     );
-    let traced_hits = latencies(&traced.samples, &traffic, true);
     out.set(
         "trace_overhead_frac",
         median(&traced_hits) / median(&hits) - 1.0,

@@ -19,26 +19,6 @@ pub fn median(values: &[f64]) -> f64 {
     quantile_of(values, 0.5)
 }
 
-/// Quantile `q` estimated per consecutive window of `window` samples
-/// (time-ordered; a short tail joins the last window), then the median of
-/// the window estimates — a tail percentile that one burst of host noise
-/// cannot move by itself. Each window needs `window >= 10 / (1 - q)`
-/// samples for ten of them to lie beyond the percentile.
-pub fn windowed_quantile(values: &[f64], q: f64, window: usize) -> f64 {
-    let windows = (values.len() / window).max(1);
-    let estimates: Vec<f64> = (0..windows)
-        .map(|w| {
-            let end = if w + 1 == windows {
-                values.len()
-            } else {
-                (w + 1) * window
-            };
-            quantile_of(&values[w * window..end], q)
-        })
-        .collect();
-    median(&estimates)
-}
-
 /// Milliseconds in a duration.
 pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
@@ -86,17 +66,6 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(quantile_of(&[], 0.5), 0.0);
         assert!((quantile_of(&[0.0, 10.0], 0.9) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn windowed_quantile_takes_the_median_window() {
-        let mut v: Vec<f64> = (0..300).map(|i| f64::from(i % 100)).collect();
-        v[150] = 1e9; // one burst in the middle window
-        assert!((windowed_quantile(&v, 0.99, 100) - 98.01).abs() < 1e-9);
-        assert_eq!(
-            windowed_quantile(&v[..50], 0.5, 100),
-            quantile_of(&v[..50], 0.5)
-        );
     }
 
     #[test]

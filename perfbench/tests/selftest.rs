@@ -5,7 +5,7 @@
 
 use f2_core::json::Json;
 use f2_perfbench::outcome::{repo_root, Outcome, RunConfig};
-use f2_perfbench::{dse, iss, result_json, serve, END_TO_END, PER_LAYER, WORKLOADS};
+use f2_perfbench::{combine, dse, iss, result_json, serve, END_TO_END, PER_LAYER, WORKLOADS};
 
 /// A program set small enough for a debug-build test.
 const TINY_SET: iss::SetSize = iss::SetSize {
@@ -14,6 +14,19 @@ const TINY_SET: iss::SetSize = iss::SetSize {
     vector_adds: 2,
     maps: 2,
     map_budget: 3_000,
+};
+
+/// The hart programs of [`TINY_SET`] (`iss_programs`).
+const TINY_HARTS: iss::SetSize = iss::SetSize {
+    vector_adds: 0,
+    maps: 0,
+    ..TINY_SET
+};
+
+/// The cluster programs of [`TINY_SET`] (`iss_cluster`).
+const TINY_CLUSTERS: iss::SetSize = iss::SetSize {
+    variants: 0,
+    ..TINY_SET
 };
 
 fn cfg(seed: u64, seconds: f64, trace: bool) -> RunConfig {
@@ -74,9 +87,20 @@ fn tiny_dse_sweep_passes_its_checks() {
 #[test]
 fn tiny_iss_programs_pass_their_checks() {
     for trace in [false, true] {
-        let out = iss::run(cfg(3, 0.01, trace), TINY_SET);
+        let out = iss::run(cfg(3, 0.01, trace), TINY_HARTS);
         assert_clean(&out, "iss_programs");
         assert_reports(&out, trace);
+        assert!(out.get("iss.hart_mips").is_some_and(|v| v > 0.0));
+    }
+}
+
+#[test]
+fn tiny_iss_cluster_passes_its_checks() {
+    for trace in [false, true] {
+        let out = iss::run(cfg(3, 0.01, trace), TINY_CLUSTERS);
+        assert_clean(&out, "iss_cluster");
+        assert_reports(&out, trace);
+        assert!(out.get("iss.cluster_mips").is_some_and(|v| v > 0.0));
     }
 }
 
@@ -109,11 +133,54 @@ fn wrong_golden_kpi_is_counted_as_failed() {
 #[test]
 fn wrong_model_register_is_counted_as_failed() {
     let out = iss::run_with(cfg(3, 0.01, false), || {
-        let mut set = iss::program_set(3, TINY_SET);
+        let mut set = iss::program_set(3, TINY_HARTS);
         set.harts[0].regs[0] ^= 1;
         set
     });
     assert!(out.failed >= 1, "{:?}", out.failures);
+}
+
+#[test]
+fn wrong_cluster_output_is_counted_as_failed() {
+    let out = iss::run_with(cfg(3, 0.01, false), || {
+        let mut set = iss::program_set(3, TINY_CLUSTERS);
+        set.clusters[0].expected[0] ^= 1;
+        set
+    });
+    assert!(out.failed >= 1, "{:?}", out.failures);
+}
+
+#[test]
+fn a_failed_earlier_workload_fails_the_combined_result() {
+    let failed = iss::run_with(cfg(3, 0.01, false), || {
+        let mut set = iss::program_set(3, TINY_HARTS);
+        set.harts[0].regs[0] ^= 1;
+        set
+    });
+    let clean = iss::run(cfg(3, 0.01, false), TINY_CLUSTERS);
+    assert!(failed.failed >= 1 && clean.failed == 0);
+    let combined = combine(&[
+        ("iss_programs", Some(result_json(&failed, false))),
+        ("iss_cluster", Some(result_json(&clean, false))),
+    ]);
+    let num = |key: &str| combined.get(key).and_then(Json::as_f64);
+    assert_eq!(combined.get("correct").and_then(Json::as_bool), Some(false));
+    assert_eq!(num("failed"), Some(failed.failed as f64));
+    assert_eq!(
+        num("attempted"),
+        Some((failed.attempted + clean.attempted) as f64)
+    );
+    let metric = |name: &str| combined.get("metrics").and_then(|m| m.get(name));
+    assert!(metric("iss_programs.p50_ms").is_some());
+    assert!(metric("iss_cluster.p50_ms").is_some());
+
+    // A workload that gave no result line counts as failed too.
+    let missing = combine(&[
+        ("iss_cluster", Some(result_json(&clean, false))),
+        ("serve_mixed", None),
+    ]);
+    assert_eq!(missing.get("correct").and_then(Json::as_bool), Some(false));
+    assert_eq!(missing.get("failed").and_then(Json::as_f64), Some(1.0));
 }
 
 #[test]
