@@ -201,15 +201,14 @@ pub fn consensus_aligned(reads: &[&DnaSequence], band: usize) -> DnaSequence {
     if reads.len() == 1 {
         return reads[0].clone();
     }
-    // Medoid draft (minimum summed banded distance).
+    // Medoid draft (minimum summed distance; a pair beyond the band counts
+    // as the longer read's length).
     let mut best = (usize::MAX, 0usize);
     for (i, a) in reads.iter().enumerate() {
         let total: usize = reads
             .iter()
             .map(|b| {
-                crate::levenshtein::levenshtein_banded(a, b, band)
-                    .distance
-                    .unwrap_or(a.len().max(b.len()))
+                crate::levenshtein::levenshtein_within(a, b, band).unwrap_or(a.len().max(b.len()))
             })
             .sum();
         if total < best.0 {

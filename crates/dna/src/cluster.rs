@@ -4,11 +4,11 @@
 //! workload that makes edit distance the pipeline's bottleneck: every read
 //! must be grouped with the other noisy copies of the same oligo. This
 //! module implements the standard two-stage scheme: a cheap k-mer-sketch
-//! prefilter, then a banded edit-distance test against cluster
-//! representatives; clusters are reduced to a consensus strand by
+//! prefilter, then a bit-parallel edit-distance threshold test against
+//! cluster representatives; clusters are reduced to a consensus strand by
 //! length-filtered column voting with a medoid fallback.
 
-use crate::levenshtein::levenshtein_banded;
+use crate::levenshtein::levenshtein_within;
 use crate::sequence::{DnaBase, DnaSequence};
 
 /// Clustering parameters.
@@ -68,7 +68,7 @@ fn sketch_overlap_millis(a: [u64; 4], b: [u64; 4]) -> u32 {
 pub struct Clustering {
     /// Read indices per cluster.
     pub clusters: Vec<Vec<usize>>,
-    /// Banded distance computations performed.
+    /// Edit-distance threshold tests performed.
     pub distance_calls: u64,
     /// Candidate pairs skipped by the k-mer prefilter.
     pub prefilter_skips: u64,
@@ -91,8 +91,7 @@ pub fn cluster_reads(reads: &[DnaSequence], cfg: &ClusterConfig) -> Clustering {
                 continue;
             }
             distance_calls += 1;
-            let d = levenshtein_banded(read, &reads[rep_idx], cfg.distance_threshold);
-            if d.distance.is_some() {
+            if levenshtein_within(read, &reads[rep_idx], cfg.distance_threshold).is_some() {
                 clusters[c].push(i);
                 placed = true;
                 break;
@@ -157,11 +156,7 @@ pub fn consensus(reads: &[&DnaSequence]) -> DnaSequence {
     for (i, a) in reads.iter().enumerate() {
         let total: usize = reads
             .iter()
-            .map(|b| {
-                levenshtein_banded(a, b, 24)
-                    .distance
-                    .unwrap_or(a.len().max(b.len()))
-            })
+            .map(|b| levenshtein_within(a, b, 24).unwrap_or(a.len().max(b.len())))
             .sum();
         if total < best.0 {
             best = (total, i);

@@ -12,6 +12,9 @@
 //! * [`levenshtein_myers`] — Myers' bit-parallel algorithm (blocked for
 //!   arbitrary pattern lengths), the formulation the GPU work \[29\] and the
 //!   FPGA accelerator \[35\] parallelise.
+//!
+//! [`levenshtein_within`] is the threshold test the decoding pipeline asks:
+//! the banded kernel's answer, computed bit-parallel.
 
 use crate::sequence::DnaSequence;
 
@@ -77,9 +80,12 @@ pub fn levenshtein_banded(a: &DnaSequence, b: &DnaSequence, band: usize) -> Dist
     for i in 1..=n {
         let lo = i.saturating_sub(band).max(1);
         let hi = (i + band).min(m);
-        curr.fill(BIG);
-        if lo == 1 {
-            curr[0] = i;
+        // Row i reads cells lo-1..=hi of both rows. Outside row i-1's band
+        // those are curr[lo-1], left over from row i-2, and prev[hi] when
+        // the band grows; resetting only them keeps the call O(n·band).
+        curr[lo - 1] = if lo == 1 { i } else { BIG };
+        if hi == i + band {
+            prev[hi] = BIG;
         }
         for j in lo..=hi {
             let cost = usize::from(av[i - 1] != bv[j - 1]);
@@ -100,6 +106,17 @@ pub fn levenshtein_banded(a: &DnaSequence, b: &DnaSequence, band: usize) -> Dist
         distance: if d <= band { Some(d) } else { None },
         cell_updates: updates,
     }
+}
+
+/// Exact edit distance if it is at most `k`, else `None`: the answer of
+/// `levenshtein_banded(a, b, k).distance`, computed by the length-gap check
+/// (a pair whose lengths differ by more than `k` needs more than `k` edits)
+/// and [`levenshtein_myers`].
+pub fn levenshtein_within(a: &DnaSequence, b: &DnaSequence, k: usize) -> Option<usize> {
+    if a.len().abs_diff(b.len()) > k {
+        return None;
+    }
+    levenshtein_myers(a, b).distance.filter(|&d| d <= k)
 }
 
 /// Myers bit-parallel Levenshtein (blocked variant, Hyyrö 2003), exact for
@@ -244,6 +261,37 @@ mod tests {
             let dp = levenshtein_dp(&a, &b).distance.expect("exact");
             let banded = levenshtein_banded(&a, &b, 8).distance;
             assert_eq!(banded, Some(dp));
+        }
+    }
+
+    #[test]
+    fn threshold_tests_exact_on_all_short_pairs() {
+        // Every pair over two bases up to six long: few enough to enumerate,
+        // long enough that the band's edges and the length gap both matter.
+        let seqs: Vec<DnaSequence> = (0..=6usize)
+            .flat_map(|len| {
+                (0..1u8 << len).map(move |bits| {
+                    DnaSequence::from_bases(
+                        (0..len)
+                            .map(|i| crate::sequence::DnaBase::from_bits(bits >> i & 1))
+                            .collect(),
+                    )
+                })
+            })
+            .collect();
+        for a in &seqs {
+            for b in &seqs {
+                let d = levenshtein_dp(a, b).distance.expect("exact");
+                for k in 0..5 {
+                    let expected = Some(d).filter(|&d| d <= k);
+                    assert_eq!(
+                        levenshtein_banded(a, b, k).distance,
+                        expected,
+                        "{a} {b} {k}"
+                    );
+                    assert_eq!(levenshtein_within(a, b, k), expected, "{a} {b} {k}");
+                }
+            }
         }
     }
 

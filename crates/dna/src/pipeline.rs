@@ -63,7 +63,7 @@ pub struct PipelineReport {
     pub decode: DecodeStats,
     /// Whether the payload was recovered bit-exactly.
     pub payload_recovered: bool,
-    /// Banded distance computations spent in clustering (the accelerator's
+    /// Edit-distance threshold tests spent in clustering (the accelerator's
     /// target workload).
     pub distance_calls: u64,
 }
