@@ -18,10 +18,9 @@
 //! document; later flags still override its members). Output flags:
 //! `--json` (machine-readable lines instead of tables), `--trace
 //! <out.json>` (Chrome/Perfetto trace of the run) and `--metrics` (trace
-//! summary appended to the output). The deprecated `F2_BENCH_JSON`
-//! environment alias still switches `--json` on, and `F2_TRACE` switches
-//! `--trace` on (`F2_TRACE=1` writes `f2-trace.json`, any other truthy
-//! value is used as the output path).
+//! summary appended to the output). `F2_TRACE` switches `--trace` on
+//! (`F2_TRACE=1` writes `f2-trace.json`, any other truthy value is used
+//! as the output path).
 //!
 //! `check` closes the CI loop as a plain UNIX pipe, and `check-trace`
 //! validates a trace file the same way CI does:
@@ -76,7 +75,7 @@ impl Default for RunOptions {
     fn default() -> Self {
         Self {
             selector: "all".to_string(),
-            json: crate::json_env_enabled(),
+            json: false,
             scenario: Scenario::new(
                 f2_core::rng::DEFAULT_SEED,
                 Fidelity::Full,
@@ -147,8 +146,7 @@ pub enum Command {
     },
     /// `f2 bench [flags]`
     Bench(BenchOptions),
-    /// `f2 check-bench <baseline.json> [--current <file>] [--max-regress <pct>]
-    /// [--min-speedup <label=factor>]...`
+    /// `f2 check-bench <baseline.json> [--current <file>] [--max-regress <pct>]`
     CheckBench {
         /// Committed baseline report (`f2 bench --out`).
         baseline: PathBuf,
@@ -157,9 +155,6 @@ pub enum Command {
         current: Option<PathBuf>,
         /// Allowed p10 slowdown per kernel, in percent.
         max_regress: f64,
-        /// Labels that must have *improved*: current p10 must be at most
-        /// baseline p10 divided by the factor.
-        min_speedups: Vec<(String, f64)>,
     },
     /// `f2 serve [--addr HOST:PORT] [--threads N] [--shards N]
     /// [--port-file PATH]`
@@ -222,9 +217,8 @@ Commands:
       --current <report.json>        compare this report instead of running
                                      the suite now
       --max-regress <pct>            allowed p10 slowdown per kernel
-                                     (default 50)
-      --min-speedup <label=factor>   demand the label improved: current p10
-                                     at most baseline/factor (repeatable)
+                                     (default 50); baseline records with a
+                                     max_p10_ns also cap the current p10
   serve [flags]                      run the batched experiment service
       --addr <host:port>             bind address (default 127.0.0.1:0,
                                      port 0 = ephemeral)
@@ -423,7 +417,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut baseline = None;
             let mut current = None;
             let mut max_regress = 50.0f64;
-            let mut min_speedups = Vec::new();
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--current" => {
@@ -439,18 +432,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                             .filter(|p| p.is_finite() && *p >= 0.0)
                             .ok_or_else(|| format!("invalid regression bound {v}"))?;
                     }
-                    "--min-speedup" => {
-                        let v = it.next().ok_or("--min-speedup needs <label=factor>")?;
-                        let (label, factor) = v
-                            .split_once('=')
-                            .ok_or_else(|| format!("--min-speedup {v}: expected label=factor"))?;
-                        let factor = factor
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|f| f.is_finite() && *f >= 1.0)
-                            .ok_or_else(|| format!("invalid speedup factor {factor}"))?;
-                        min_speedups.push((label.to_string(), factor));
-                    }
                     flag if flag.starts_with('-') => {
                         return Err(format!("unknown `check-bench` flag {flag}"));
                     }
@@ -465,7 +446,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 baseline: baseline.ok_or("missing baseline: pass a `bench --out` report")?,
                 current,
                 max_regress,
-                min_speedups,
             })
         }
         "serve" => {
@@ -689,8 +669,8 @@ pub fn list(registry: &Registry, json: bool) {
 /// Runs the selected experiments; returns the process exit code.
 ///
 /// In `--json` mode each experiment contributes its structured records
-/// (`{"label": ..., "data": ...}` lines, the old `F2_BENCH_JSON` format)
-/// followed by one report line (`{"experiment": ..., "kpis": [...]}`).
+/// (`{"label": ..., "data": ...}` lines) followed by one report line
+/// (`{"experiment": ..., "kpis": [...]}`).
 ///
 /// With `--trace`/`--metrics` a [`f2_core::trace`] session wraps the whole
 /// run: each experiment gets an `experiment:<name>` span (sections and
@@ -1119,12 +1099,14 @@ pub fn bench(opts: &BenchOptions) -> u8 {
 }
 
 /// A parsed `f2-bench-v1` report: run configuration plus per-label p10
-/// nanoseconds, in file order.
+/// nanoseconds, in file order, and the absolute p10 limits (`max_p10_ns`)
+/// the records that carry one impose.
 struct BenchDoc {
     quick: bool,
     samples: usize,
     threads: usize,
     p10_ns: Vec<(String, f64)>,
+    max_p10_ns: Vec<(String, f64)>,
 }
 
 /// Loads and validates a bench report; the error carries the exit code
@@ -1149,6 +1131,7 @@ fn load_bench_doc(path: &std::path::Path) -> Result<BenchDoc, (u8, String)> {
         .and_then(Json::as_array)
         .ok_or_else(|| (1, format!("{}: missing `records` array", path.display())))?;
     let mut p10_ns = Vec::with_capacity(records.len());
+    let mut max_p10_ns = Vec::new();
     for (i, r) in records.iter().enumerate() {
         let label = r
             .get("label")
@@ -1164,6 +1147,21 @@ fn load_bench_doc(path: &std::path::Path) -> Result<BenchDoc, (u8, String)> {
                     format!("{}: record {i} missing a finite `p10_ns`", path.display()),
                 )
             })?;
+        if let Some(max) = r.get("max_p10_ns") {
+            let max = max
+                .as_f64()
+                .filter(|v| v.is_finite() && *v >= 0.0)
+                .ok_or_else(|| {
+                    (
+                        1,
+                        format!(
+                            "{}: record {i} has a `max_p10_ns` that is not a finite number >= 0",
+                            path.display()
+                        ),
+                    )
+                })?;
+            max_p10_ns.push((label.to_string(), max));
+        }
         p10_ns.push((label.to_string(), p10));
     }
     Ok(BenchDoc {
@@ -1177,6 +1175,7 @@ fn load_bench_doc(path: &std::path::Path) -> Result<BenchDoc, (u8, String)> {
             .and_then(Json::as_f64)
             .map_or_else(f2_core::exec::num_threads, |v| v as usize),
         p10_ns,
+        max_p10_ns,
     })
 }
 
@@ -1218,17 +1217,15 @@ fn compare_bench(
 /// only mean something on the machine that produced them; CI regenerates
 /// its own current run and uses a generous bound.
 ///
-/// `min_speedups` inverts the check for selected labels: each named kernel
-/// must have *improved*, with current p10 at most baseline p10 divided by
-/// the factor. This is how a PR proves a claimed optimisation landed — the
-/// gate compares against the *previous* baseline before it is re-blessed.
+/// A baseline record may also carry `max_p10_ns`, an absolute limit frozen
+/// from an older baseline (the scf block engine's 5× floors): the current
+/// p10 of that label must not exceed it, whatever `max_regress` allows.
 /// Returns the process exit code (0 ok, 1 regressed/malformed,
 /// 2 unreadable).
 pub fn check_bench(
     baseline: &std::path::Path,
     current: Option<&std::path::Path>,
     max_regress: f64,
-    min_speedups: &[(String, f64)],
 ) -> u8 {
     let base = match load_bench_doc(baseline) {
         Ok(d) => d,
@@ -1266,19 +1263,16 @@ pub fn check_bench(
         }
     };
     let mut failures = compare_bench(&base.p10_ns, &cur_p10, max_regress);
-    for (label, factor) in min_speedups {
-        let base_p10 = base.p10_ns.iter().find(|(l, _)| l == label);
-        let cur = cur_p10.iter().find(|(l, _)| l == label);
-        match (base_p10, cur) {
-            (Some((_, b)), Some((_, c))) if *c * factor <= *b => {}
-            (Some((_, b)), Some((_, c))) => failures.push(format!(
-                "{label}: p10 {c:.0} ns is only {:.2}x faster than baseline \
-                 {b:.0} ns (required {factor:.2}x)",
-                b / c
-            )),
-            _ => failures.push(format!(
-                "{label}: --min-speedup label absent from baseline or current"
-            )),
+    // A label missing from the current run already failed above.
+    for (label, max) in &base.max_p10_ns {
+        if let Some((_, cur)) = cur_p10.iter().find(|(l, _)| l == label) {
+            if cur > max {
+                failures.push(format!(
+                    "{label}: p10 {cur:.0} ns above its frozen limit max_p10_ns {max:.0} ns"
+                ));
+            } else {
+                eprintln!("f2 check-bench: {label}: p10 {cur:.0} ns <= max_p10_ns {max:.0} ns");
+            }
         }
     }
     for f in &failures {
@@ -1355,8 +1349,7 @@ pub fn main_with(registry: Registry, args: &[String]) -> u8 {
             baseline,
             current,
             max_regress,
-            min_speedups,
-        }) => check_bench(&baseline, current.as_deref(), max_regress, &min_speedups),
+        }) => check_bench(&baseline, current.as_deref(), max_regress),
         Ok(Command::Serve(config)) => serve(registry, config),
         Ok(Command::Loadgen(opts)) => crate::loadgen::run(&opts),
         Ok(Command::Campaign(opts)) => crate::campaign::run(&registry, &opts),
@@ -1900,7 +1893,6 @@ mod tests {
             baseline,
             current,
             max_regress,
-            min_speedups,
         } = parse_args(&args(&["check-bench", "BENCH.json"])).expect("parses")
         else {
             panic!("expected check-bench");
@@ -1908,10 +1900,9 @@ mod tests {
         assert_eq!(baseline, PathBuf::from("BENCH.json"));
         assert_eq!(current, None);
         assert_eq!(max_regress, 50.0);
-        assert!(min_speedups.is_empty());
         let Command::CheckBench {
+            current,
             max_regress,
-            min_speedups,
             ..
         } = parse_args(&args(&[
             "check-bench",
@@ -1920,28 +1911,17 @@ mod tests {
             "c.json",
             "--max-regress",
             "25",
-            "--min-speedup",
-            "scf/cpu_run=5",
-            "--min-speedup",
-            "scf/multicore_step=2.5",
         ]))
         .expect("parses")
         else {
             panic!("expected check-bench");
         };
+        assert_eq!(current, Some(PathBuf::from("c.json")));
         assert_eq!(max_regress, 25.0);
-        assert_eq!(
-            min_speedups,
-            vec![
-                ("scf/cpu_run".to_string(), 5.0),
-                ("scf/multicore_step".to_string(), 2.5)
-            ]
-        );
         assert!(parse_args(&args(&["check-bench"])).is_err());
         assert!(parse_args(&args(&["check-bench", "a", "b"])).is_err());
         assert!(parse_args(&args(&["check-bench", "a", "--max-regress", "-5"])).is_err());
-        assert!(parse_args(&args(&["check-bench", "a", "--min-speedup", "x"])).is_err());
-        assert!(parse_args(&args(&["check-bench", "a", "--min-speedup", "x=0.5"])).is_err());
+        assert!(parse_args(&args(&["check-bench", "a", "--min-speedup", "x=5"])).is_err());
     }
 
     fn bench_doc(records: &[(&str, u64)]) -> String {
@@ -1970,44 +1950,49 @@ mod tests {
         std::fs::write(&base, bench_doc(&[("g/a", 100), ("g/b", 200)])).expect("writable tmp");
         std::fs::write(&fast, bench_doc(&[("g/a", 110), ("g/b", 150)])).expect("writable tmp");
         std::fs::write(&slow, bench_doc(&[("g/a", 400), ("g/b", 200)])).expect("writable tmp");
-        assert_eq!(check_bench(&base, Some(&fast), 50.0, &[]), 0);
-        assert_eq!(check_bench(&base, Some(&slow), 50.0, &[]), 1);
+        assert_eq!(check_bench(&base, Some(&fast), 50.0), 0);
+        assert_eq!(check_bench(&base, Some(&slow), 50.0), 1);
         // A tighter bound turns the mild slowdown into a failure too.
-        assert_eq!(check_bench(&base, Some(&fast), 5.0, &[]), 1);
+        assert_eq!(check_bench(&base, Some(&fast), 5.0), 1);
         for p in [&base, &fast, &slow] {
             let _ = std::fs::remove_file(p);
         }
     }
 
+    /// Writes a two-label baseline whose `g/a` record carries `max_p10_ns`
+    /// set to `max` (a raw JSON token, so a non-numeric limit can be
+    /// written too).
+    fn limited_bench_doc(max: &str) -> String {
+        bench_doc(&[("g/a", 100), ("g/b", 200)]).replacen(
+            "\"iters_per_sample\":1}",
+            &format!("\"iters_per_sample\":1,\"max_p10_ns\":{max}}}"),
+            1,
+        )
+    }
+
     #[test]
-    fn check_bench_min_speedup_demands_an_improvement() {
+    fn check_bench_enforces_max_p10_limits() {
         let dir = std::env::temp_dir();
-        let base = dir.join("f2-check-bench-ms-base.json");
-        let cur = dir.join("f2-check-bench-ms-cur.json");
-        std::fs::write(&base, bench_doc(&[("g/a", 1000), ("g/b", 1000)])).expect("writable tmp");
-        // g/a sped up 5x, g/b only 2x.
-        std::fs::write(&cur, bench_doc(&[("g/a", 200), ("g/b", 500)])).expect("writable tmp");
-        let ms = |pairs: &[(&str, f64)]| -> Vec<(String, f64)> {
-            pairs.iter().map(|(l, f)| (l.to_string(), *f)).collect()
-        };
-        assert_eq!(
-            check_bench(&base, Some(&cur), 50.0, &ms(&[("g/a", 5.0)])),
-            0
-        );
-        assert_eq!(
-            check_bench(&base, Some(&cur), 50.0, &ms(&[("g/a", 5.0), ("g/b", 2.0)])),
-            0
-        );
-        assert_eq!(
-            check_bench(&base, Some(&cur), 50.0, &ms(&[("g/b", 5.0)])),
-            1,
-            "2x when 5x is demanded must fail"
-        );
-        assert_eq!(
-            check_bench(&base, Some(&cur), 50.0, &ms(&[("g/ghost", 2.0)])),
-            1,
-            "a --min-speedup label absent from the reports must fail"
-        );
+        let base = dir.join("f2-check-bench-limit-base.json");
+        let cur = dir.join("f2-check-bench-limit-cur.json");
+        std::fs::write(&base, limited_bench_doc("110")).expect("writable tmp");
+        // At the limit and under it pass: +10 % is within --max-regress 50.
+        for p10 in [110, 90] {
+            std::fs::write(&cur, bench_doc(&[("g/a", p10), ("g/b", 200)])).expect("writable tmp");
+            assert_eq!(check_bench(&base, Some(&cur), 50.0), 0, "p10 {p10}");
+        }
+        // One nanosecond above the limit fails though --max-regress allows it.
+        std::fs::write(&cur, bench_doc(&[("g/a", 111), ("g/b", 200)])).expect("writable tmp");
+        assert_eq!(check_bench(&base, Some(&cur), 50.0), 1);
+        // The limited label missing from the current run still fails.
+        std::fs::write(&cur, bench_doc(&[("g/b", 200)])).expect("writable tmp");
+        assert_eq!(check_bench(&base, Some(&cur), 50.0), 1);
+        // A non-numeric limit makes the baseline malformed.
+        std::fs::write(&cur, bench_doc(&[("g/a", 100), ("g/b", 200)])).expect("writable tmp");
+        for bad in ["\"7425\"", "null", "-1"] {
+            std::fs::write(&base, limited_bench_doc(bad)).expect("writable tmp");
+            assert_eq!(check_bench(&base, Some(&cur), 50.0), 1, "limit {bad}");
+        }
         for p in [&base, &cur] {
             let _ = std::fs::remove_file(p);
         }
@@ -2021,21 +2006,21 @@ mod tests {
         std::fs::write(&base, bench_doc(&[("g/a", 100), ("g/b", 200)])).expect("writable tmp");
         std::fs::write(&partial, bench_doc(&[("g/a", 100)])).expect("writable tmp");
         assert_eq!(
-            check_bench(&base, Some(&partial), 50.0, &[]),
+            check_bench(&base, Some(&partial), 50.0),
             1,
             "baseline kernel missing from current must fail"
         );
         // Extra current kernels are fine.
-        assert_eq!(check_bench(&partial, Some(&base), 50.0, &[]), 0);
+        assert_eq!(check_bench(&partial, Some(&base), 50.0), 0);
         let missing = dir.join("f2-check-bench-missing.json");
         let _ = std::fs::remove_file(&missing);
-        assert_eq!(check_bench(&missing, Some(&base), 50.0, &[]), 2);
+        assert_eq!(check_bench(&missing, Some(&base), 50.0), 2);
         let bad = dir.join("f2-check-bench-bad.json");
         std::fs::write(&bad, "{not json").expect("writable tmp");
-        assert_eq!(check_bench(&bad, Some(&base), 50.0, &[]), 1);
+        assert_eq!(check_bench(&bad, Some(&base), 50.0), 1);
         let wrong = dir.join("f2-check-bench-wrong-schema.json");
         std::fs::write(&wrong, "{\"schema\":\"other\",\"records\":[]}").expect("writable tmp");
-        assert_eq!(check_bench(&wrong, Some(&base), 50.0, &[]), 1);
+        assert_eq!(check_bench(&wrong, Some(&base), 50.0), 1);
         for p in [&base, &partial, &bad, &wrong] {
             let _ = std::fs::remove_file(p);
         }
@@ -2065,7 +2050,7 @@ mod tests {
         };
         assert_eq!(bench(&opts), 0);
         // The report round-trips through check-bench against itself.
-        assert_eq!(check_bench(&out, Some(&out), 50.0, &[]), 0);
+        assert_eq!(check_bench(&out, Some(&out), 50.0), 0);
         // The trace holds the kernel's bench span and passes validation.
         let registry = Registry::new();
         assert_eq!(check_trace(&registry, &trace, false, false, false), 0);

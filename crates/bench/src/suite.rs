@@ -1,9 +1,12 @@
-//! The curated hot-kernel suite behind `f2 bench` / `f2 check-bench`.
+//! The one micro-benchmark suite, behind `f2 bench` / `f2 check-bench`.
 //!
-//! Eight kernels, one per hot path the experiments actually spend their
-//! time in: the IMC crossbar and MLP forward pass, the RV32IM ISS and the
-//! multicore cluster step loop, SPARTA's event-driven simulator and the
-//! ASAP-seeded list scheduler, the DNA storage channel, and the parallel
+//! One label per hot path the experiments actually spend their time in:
+//! the IMC crossbar (bit-serial, ideal and 8-bit-ADC MVM) and MLP forward
+//! pass, the RV32IM ISS, the multicore cluster step loop, the bf16
+//! tensor-core GEMM and the CU transformer-block model, SPARTA's
+//! event-driven simulator, the ASAP-seeded list scheduler and the SpGEMM
+//! cost models, the DNA storage channel and the three Levenshtein
+//! kernels, exact TCONV vs foveated HTCONV upscaling, and the parallel
 //! Pareto sweep — plus two service-level benchmarks (`serve/*`) that drive
 //! a live in-process `f2 serve` daemon over loopback TCP. Labels are
 //! stable `group/function` strings — they are the keys `f2 check-bench`
@@ -15,7 +18,11 @@
 //! so `f2 check-bench` can flag order-of-magnitude regressions on the same
 //! machine (CI compares with a generous `--max-regress` for that reason).
 
+use f2_approx::htconv::{htconv_upscale2x, FoveaSpec};
+use f2_approx::image::Image;
+use f2_approx::tconv::{bicubic_kernel, tconv_upscale2x};
 use f2_core::benchkit::Harness;
+use f2_core::bf16::Bf16;
 use f2_core::energy::EnergyLedger;
 use f2_core::exec::Pool;
 use f2_core::json::{Json, ToJson};
@@ -24,9 +31,10 @@ use f2_core::rng::{rng_for, Rng};
 use f2_core::serve::{self, http};
 use f2_core::tensor::Matrix;
 use f2_core::workload::graph::rmat;
-
 use f2_core::workload::sparse::{generate, SparseMatrix, SparsityPattern};
+use f2_core::workload::transformer::{bert_base_block, tiny_block};
 use f2_dna::channel::ChannelModel;
+use f2_dna::levenshtein::{levenshtein_banded, levenshtein_dp, levenshtein_myers};
 use f2_dna::sequence::{DnaBase, DnaSequence};
 use f2_hls::ir::dot_product_kernel;
 use f2_hls::schedule::{list_schedule, OpLatency, ResourceBudget};
@@ -36,10 +44,12 @@ use f2_imc::crossbar::{Adc, Crossbar, MvmScratch};
 use f2_imc::device::DeviceModel;
 use f2_imc::eval::{make_train_test, train_mlp};
 use f2_imc::program::ProgramVerify;
+use f2_scf::cluster::ComputeUnit;
 use f2_scf::cpu::Cpu;
 use f2_scf::isa::asm;
 use f2_scf::memory::FlatMemory;
 use f2_scf::multicore::{vector_add_program, MulticoreCluster, MulticoreConfig};
+use f2_scf::tensor_core::{TensorCore, TensorCoreConfig};
 
 /// Identifies the JSON layout of a bench report.
 pub const SCHEMA: &str = "f2-bench-v1";
@@ -67,6 +77,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Harness {
     bench_scf(&mut h, cfg.quick);
     bench_hls(&mut h, cfg.quick);
     bench_dna(&mut h, cfg.quick);
+    bench_approx(&mut h, cfg.quick);
     bench_core(&mut h, cfg.quick, cfg.threads);
     bench_serve(&mut h, cfg);
     h
@@ -91,7 +102,8 @@ fn random_strand(len: usize, rng: &mut impl Rng) -> DnaSequence {
     DnaSequence::from_bases((0..len).map(|_| DnaBase::from_bits(rng.gen())).collect())
 }
 
-/// IMC: bit-serial crossbar MVM and the MLP forward pass (accuracy loop).
+/// IMC: bit-serial crossbar MVM, the MLP forward pass (accuracy loop), and
+/// the ideal and 8-bit-ADC crossbar MVMs `imc_energy` makes.
 fn bench_imc(h: &mut Harness, quick: bool) {
     let mut group = h.group("imc");
     let (dim, bits) = if quick { (32, 4) } else { (64, 8) };
@@ -120,9 +132,23 @@ fn bench_imc(h: &mut Harness, quick: bool) {
     let (train, test) = make_train_test(classes, feat, 40, 50, 0.25, 7);
     let mlp = train_mlp(&train, hidden, 10, 0.05, 9);
     group.bench_function("eval_forward", |bch| bch.iter(|| mlp.accuracy(&test)));
+
+    group.bench_function("mvm_ideal", |bch| {
+        bch.iter(|| xbar.mvm_ideal(&x, 1.0).expect("valid geometry"))
+    });
+    group.bench_function("mvm_adc8", |bch| {
+        let adc = Adc::new(8);
+        let mut rng = rng_for(51, "bench-imc-mvm-adc8");
+        bch.iter(|| {
+            let mut ledger = EnergyLedger::new();
+            xbar.mvm(&x, 1.0, &adc, &mut rng, &mut ledger)
+                .expect("valid geometry")
+        })
+    });
 }
 
-/// SCF: the single-hart ISS run loop and the lockstep multicore step loop.
+/// SCF: the single-hart ISS run loop, the multicore cluster step loop, the
+/// bf16 tensor-core GEMM and the CU's analytical transformer-block model.
 fn bench_scf(h: &mut Harness, quick: bool) {
     let mut group = h.group("scf");
     let iterations = if quick { 500 } else { 2000 };
@@ -163,6 +189,25 @@ fn bench_scf(h: &mut Harness, quick: bool) {
             }
             cluster.run().expect("program halts")
         })
+    });
+
+    let dim = if quick { 32 } else { 64 };
+    let tc = TensorCore::new(TensorCoreConfig::prototype()).expect("valid config");
+    let a: Vec<Bf16> = (0..dim * dim)
+        .map(|i| Bf16::from_f32(i as f32 / (dim * dim) as f32))
+        .collect();
+    group.bench_function("tensor_core_gemm", |bch| {
+        bch.iter(|| tc.gemm(&a, &a, dim, dim, dim).expect("valid dims"))
+    });
+
+    let cu = ComputeUnit::prototype();
+    let block = if quick {
+        tiny_block()
+    } else {
+        bert_base_block()
+    };
+    group.bench_function("cu_transformer_block", |bch| {
+        bch.iter(|| cu.run_transformer_block(&block))
     });
 }
 
@@ -213,7 +258,8 @@ fn bench_hls(h: &mut Harness, quick: bool) {
     });
 }
 
-/// DNA: the substitution/indel/dropout channel over a strand pool.
+/// DNA: the substitution/indel/dropout channel over a strand pool, then the
+/// exact, banded (k = 16) and Myers bit-parallel edit distances of one pair.
 fn bench_dna(h: &mut Harness, quick: bool) {
     let mut group = h.group("dna");
     let strands_n = if quick { 20 } else { 100 };
@@ -225,6 +271,34 @@ fn bench_dna(h: &mut Harness, quick: bool) {
     group.bench_function("channel", |bch| {
         let mut rng = rng_for(52, "bench-dna-channel");
         bch.iter(|| model.sequence_pool(&strands, &mut rng))
+    });
+
+    let len = if quick { 100 } else { 150 };
+    let mut rng = rng_for(52, "bench-dna-levenshtein");
+    let a = random_strand(len, &mut rng);
+    let b = random_strand(len, &mut rng);
+    group.bench_function("levenshtein_dp", |bch| bch.iter(|| levenshtein_dp(&a, &b)));
+    group.bench_function("levenshtein_banded", |bch| {
+        bch.iter(|| levenshtein_banded(&a, &b, 16))
+    });
+    group.bench_function("levenshtein_myers", |bch| {
+        bch.iter(|| levenshtein_myers(&a, &b))
+    });
+}
+
+/// Approx: exact bicubic TCONV 2x upscaling against foveated HTCONV at the
+/// 15 % fovea `htconv_quality` reports its headline saving for.
+fn bench_approx(h: &mut Harness, quick: bool) {
+    let mut group = h.group("approx");
+    let dim = if quick { 32 } else { 64 };
+    let lr = Image::synthetic(dim, dim, 3);
+    let kernel = bicubic_kernel();
+    group.bench_function("tconv_upscale2x", |bch| {
+        bch.iter(|| tconv_upscale2x(&lr, &kernel))
+    });
+    let fovea = FoveaSpec::centered_fraction(dim, dim, 0.15);
+    group.bench_function("htconv_upscale2x", |bch| {
+        bch.iter(|| htconv_upscale2x(&lr, &kernel, &fovea))
     });
 }
 
@@ -349,17 +423,26 @@ fn bench_serve(h: &mut Harness, cfg: &SuiteConfig) {
 mod tests {
     use super::*;
 
-    /// The twelve stable labels, in registration order.
-    pub const EXPECTED_LABELS: [&str; 12] = [
+    /// The stable labels, in registration order.
+    pub const EXPECTED_LABELS: [&str; 21] = [
         "imc/mvm_bit_serial",
         "imc/eval_forward",
+        "imc/mvm_ideal",
+        "imc/mvm_adc8",
         "scf/cpu_run",
         "scf/multicore_step",
+        "scf/tensor_core_gemm",
+        "scf/cu_transformer_block",
         "hls/sparta_spmv",
         "hls/schedule_asap",
         "hls/spgemm_inner",
         "hls/spgemm_adaptive",
         "dna/channel",
+        "dna/levenshtein_dp",
+        "dna/levenshtein_banded",
+        "dna/levenshtein_myers",
+        "approx/tconv_upscale2x",
+        "approx/htconv_upscale2x",
         "core/pareto_sweep",
         "serve/p99_latency",
         "serve/throughput",

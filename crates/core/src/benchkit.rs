@@ -4,11 +4,11 @@
 //! iteration count so one sample lasts a few milliseconds, takes N timed
 //! samples, and reports min/median/mean per iteration. That is enough to
 //! compare kernels and catch order-of-magnitude regressions, which is all
-//! the bench bins ever used criterion for — with zero dependencies and
-//! sub-second default runtime per benchmark.
+//! `f2 bench` needs — with zero dependencies and sub-second default
+//! runtime per benchmark.
 //!
 //! ```no_run
-//! let mut h = f2_core::benchkit::Harness::from_env();
+//! let mut h = f2_core::benchkit::Harness::new();
 //! let mut group = h.group("levenshtein");
 //! group.bench_function("dp", |b| b.iter(|| 2 + 2));
 //! ```
@@ -89,21 +89,8 @@ impl ToJson for Record {
 }
 
 impl Harness {
-    /// Builds a harness from the process arguments: the first non-flag
-    /// argument (as passed by `cargo bench -- <filter>`) becomes a substring
-    /// filter on benchmark labels.
-    pub fn from_env() -> Self {
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with('-') && a != "bench");
-        Self {
-            filter,
-            samples: samples_from_env(),
-            results: Vec::new(),
-        }
-    }
-
-    /// A harness without any CLI filter (library/test use).
+    /// An unfiltered harness taking [`samples_from_env`] samples per
+    /// benchmark.
     pub fn new() -> Self {
         Self {
             filter: None,
@@ -173,14 +160,8 @@ pub struct Group<'a> {
 }
 
 impl Group<'_> {
-    /// Overrides the number of measured samples for this group.
-    pub fn sample_size(&mut self, samples: usize) -> &mut Self {
-        self.samples = samples.max(3);
-        self
-    }
-
-    /// Measures one benchmark; skipped (with a note) when a CLI filter does
-    /// not match. When a [`crate::trace`] session is live the whole
+    /// Measures one benchmark; skipped when the harness filter does not
+    /// match. When a [`crate::trace`] session is live the whole
     /// measurement (warm-up, calibration and samples) runs under a
     /// `bench:<group/label>` span, so `f2 bench --trace` output is
     /// Perfetto-inspectable per kernel.
@@ -282,9 +263,8 @@ mod tests {
     #[test]
     fn measures_and_records() {
         let mut h = Harness::new();
-        let mut group = h.group("smoke");
-        group
-            .sample_size(3)
+        h.set_samples(3);
+        h.group("smoke")
             .bench_function("noop", |b| b.iter(|| 1u64 + 1));
         assert_eq!(h.results().len(), 1);
         let r = &h.results()[0];
@@ -334,8 +314,8 @@ mod tests {
     fn filter_skips_nonmatching() {
         let mut h = Harness::new();
         h.set_filter(Some("wanted".to_string()));
+        h.set_samples(3);
         let mut group = h.group("g");
-        group.sample_size(3);
         group.bench_function("other", |b| b.iter(|| 0u8));
         group.bench_function("wanted_one", |b| b.iter(|| 0u8));
         assert_eq!(h.results().len(), 1);

@@ -373,8 +373,7 @@ impl ExperimentCtx {
     }
 
     /// Attaches a labelled structured record (any [`ToJson`] report type) to
-    /// the run; the runner emits these as JSON lines in `--json` mode. This
-    /// replaces the old per-binary `emit_json` calls.
+    /// the run; the runner emits these as JSON lines in `--json` mode.
     pub fn record(&mut self, label: &str, value: &impl ToJson) {
         self.records.push((label.to_string(), value.to_json()));
     }

@@ -25,7 +25,6 @@
 //! ```
 
 pub mod experiments;
-pub mod kernels;
 
 pub use f2_approx as approx;
 pub use f2_core as core;

@@ -13,6 +13,10 @@
 //!
 //! The bless run rewrites every snapshot and then fails itself with a
 //! reminder so a bless can never silently pass in CI.
+//!
+//! An experiment whose quick report holds no KPI fails the gate as well:
+//! its snapshot would pin nothing, and a wall-clock loop belongs in
+//! `f2 bench`, not in the registry.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -45,6 +49,12 @@ fn quick_mode_kpis_match_golden_snapshots() {
             }
         };
         seen.insert(format!("{}.json", exp.name()));
+        if report.kpis.is_empty() {
+            failures.push(format!(
+                "{}: quick report has no KPIs; timing loops belong in `f2 bench`",
+                exp.name()
+            ));
+        }
         let path = golden::snapshot_path(&dir, exp.name());
         if bless {
             golden::save(&path, &report).expect("snapshot dir writable");
