@@ -5,7 +5,7 @@
 #
 #   ./ci.sh            # run every stage (local pre-push gate)
 #   ./ci.sh <stage>    # one stage: build|test|style|golden|trace|perf|
-#                      #            campaign|serve|obs
+#                      #            campaign|serve|obs|perfbench
 #
 # The GitHub workflow (.github/workflows/ci.yml) runs the same stages as
 # named steps with per-step timeouts, and uploads the /tmp/f2-*.json
@@ -115,8 +115,9 @@ stage_trace() {
         --require-scf-bb
 }
 
-# Perf smoke: run the curated hot-kernel suite at quick fidelity and
-# compare p10 times against the committed baseline. Wall-clock numbers
+# Perf smoke: re-run the curated hot-kernel suite at the baseline's own
+# quick/samples/threads configuration and compare p10 times against the
+# committed baseline, like with like. Wall-clock numbers
 # are machine-dependent (never KPIs), so the threshold stays well above
 # run-to-run noise — months of green runs sat far below 20%, so the
 # original 50% ratchets down to catch real (not just order-of-magnitude)
@@ -124,9 +125,7 @@ stage_trace() {
 # labels to the block engine's frozen 5x limits (the retired
 # per-instruction-dispatch p10s, 37125 and 132790 ns, divided by 5).
 stage_perf() {
-    local bench=/tmp/f2-bench.json
-    run bash -c "$F2 bench --quick --out $bench > /dev/null"
-    run "$F2" check-bench BENCH_PR10.json --current "$bench" --max-regress 20
+    run "$F2" check-bench BENCH_PR10.json --max-regress 20
 }
 
 # Campaign smoke: expand the 32-scenario manifest, sweep it, and gate the
@@ -238,6 +237,13 @@ stage_obs() {
     echo "    access log, flight recorder and progress heartbeats verified"
 }
 
+# End-to-end benchmark self-tests: perfbench is a workspace of its own
+# that the stages above never compile, and it drives the public serve,
+# campaign and scenario APIs.
+stage_perfbench() {
+    run cargo test --offline --manifest-path perfbench/Cargo.toml
+}
+
 case "$STAGE" in
     build) stage_build ;;
     test) stage_test ;;
@@ -248,6 +254,7 @@ case "$STAGE" in
     campaign) stage_campaign ;;
     serve) stage_serve ;;
     obs) stage_obs ;;
+    perfbench) stage_perfbench ;;
     all)
         stage_build
         stage_test
@@ -258,11 +265,12 @@ case "$STAGE" in
         stage_campaign
         stage_serve
         stage_obs
+        stage_perfbench
         echo
         echo "CI OK"
         ;;
     *)
-        echo "usage: ci.sh [build|test|style|golden|trace|perf|campaign|serve|obs|all]" >&2
+        echo "usage: ci.sh [build|test|style|golden|trace|perf|campaign|serve|obs|perfbench|all]" >&2
         exit 2
         ;;
 esac

@@ -25,6 +25,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use f2_core::json::{Json, ToJson};
+use f2_core::rng::fnv1a;
 use f2_core::serve::http::{self, Response};
 
 /// Identifies the JSON layout of a loadgen report.
@@ -88,15 +89,13 @@ impl Mix {
             Mix::Cached => (
                 "POST",
                 "/run",
-                "{\"experiment\":\"fig1_landscape\",\"seed\":0,\
-                 \"quick\":true,\"threads\":1}"
-                    .to_string(),
+                "{\"experiment\":\"fig1_landscape\",\"scenario\":{\"seed\":0}}".to_string(),
             ),
             Mix::Sweep => {
                 const EXPERIMENTS: [&str; 2] = ["fig1_landscape", "fig7_riscv_sota"];
                 let combo = i % 10;
                 let body = format!(
-                    "{{\"experiment\":\"{}\",\"seed\":{},\"quick\":true,\"threads\":1}}",
+                    "{{\"experiment\":\"{}\",\"scenario\":{{\"seed\":{}}}}}",
                     EXPERIMENTS[combo / 5],
                     combo % 5
                 );
@@ -285,16 +284,6 @@ impl Client {
     }
 }
 
-/// Deterministic FNV-1a over a response body — the body-identity check.
-fn body_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Polls `GET /healthz` on fresh connections until it answers 200 or the
 /// deadline passes.
 ///
@@ -391,7 +380,7 @@ fn worker(
                         _ => {}
                     }
                     out.bodies
-                        .push((i % opts.mix.distinct(), body_hash(&resp.body)));
+                        .push((i % opts.mix.distinct(), fnv1a(&resp.body)));
                 } else {
                     out.failed += 1;
                 }
@@ -660,8 +649,8 @@ mod tests {
         assert!((percentile(&ns, 50.0) - 51.0).abs() < 2.0);
         assert!((percentile(&ns, 99.0) - 99.0).abs() < 2.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(body_hash(b"abc"), body_hash(b"abc"));
-        assert_ne!(body_hash(b"abc"), body_hash(b"abd"));
+        assert_eq!(fnv1a(b"abc"), fnv1a(b"abc"));
+        assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
     }
 
     #[test]

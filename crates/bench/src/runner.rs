@@ -9,18 +9,13 @@
 //! f2 campaign <manifest.json>      # expand a manifest and sweep scenarios
 //! ```
 //!
-//! `run` builds a [`Scenario`] — the first-class run configuration of
-//! seed, fidelity, threads and per-experiment params — from its flags:
-//! `--quick` (reduced problem sizes, the fidelity the golden snapshots
-//! pin), `--threads N`, `--seed N`, `--param key=value` (a tunable
-//! dimension the selected experiments declare; repeatable) and
-//! `--scenario <file.json>` (replace the whole scenario with a JSON
-//! document; later flags still override its members). Output flags:
-//! `--json` (machine-readable lines instead of tables), `--trace
-//! <out.json>` (Chrome/Perfetto trace of the run) and `--metrics` (trace
-//! summary appended to the output). `F2_TRACE` switches `--trace` on
-//! (`F2_TRACE=1` writes `f2-trace.json`, any other truthy value is used
-//! as the output path).
+//! Each subcommand, its positional argument and its flags are declared
+//! once, in one table that both [`parse_args`] and [`usage`] (`f2 --help`)
+//! read. `run` builds a [`Scenario`] — the first-class run configuration
+//! of seed, fidelity, threads and per-experiment params — from its flags,
+//! applied in order so `--scenario <file.json> --seed 9` overrides the
+//! file's seed. `F2_TRACE` switches `--trace` on (`F2_TRACE=1` writes
+//! `f2-trace.json`, any other truthy value is used as the output path).
 //!
 //! `check` closes the CI loop as a plain UNIX pipe, and `check-trace`
 //! validates a trace file the same way CI does:
@@ -118,22 +113,21 @@ impl Default for BenchOptions {
     }
 }
 
-/// A parsed `f2` invocation.
+/// A parsed `f2` invocation; [`usage`] lists each subcommand's flags.
 pub enum Command {
-    /// `f2 list [--json]`
+    /// `f2 list [flags]`
     List {
         /// Emit the inventory as one JSON document.
         json: bool,
     },
     /// `f2 run <selector> [flags]`
     Run(RunOptions),
-    /// `f2 check [--golden <dir>]`
+    /// `f2 check [flags]`
     Check {
         /// Snapshot directory (defaults to the repo's `tests/golden`).
         golden_dir: PathBuf,
     },
-    /// `f2 check-trace <file> [--require-experiments] [--require-workers]
-    /// [--require-scf-bb]`
+    /// `f2 check-trace <file> [flags]`
     CheckTrace {
         /// Trace file written by `run --trace`.
         path: PathBuf,
@@ -146,7 +140,7 @@ pub enum Command {
     },
     /// `f2 bench [flags]`
     Bench(BenchOptions),
-    /// `f2 check-bench <baseline.json> [--current <file>] [--max-regress <pct>]`
+    /// `f2 check-bench <baseline.json> [flags]`
     CheckBench {
         /// Committed baseline report (`f2 bench --out`).
         baseline: PathBuf,
@@ -156,8 +150,7 @@ pub enum Command {
         /// Allowed p10 slowdown per kernel, in percent.
         max_regress: f64,
     },
-    /// `f2 serve [--addr HOST:PORT] [--threads N] [--shards N]
-    /// [--port-file PATH]`
+    /// `f2 serve [flags]`
     Serve(f2_core::serve::ServeConfig),
     /// `f2 loadgen [flags]`
     Loadgen(crate::loadgen::LoadgenOptions),
@@ -176,87 +169,193 @@ fn default_golden_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
 }
 
-/// Usage text printed on parse errors and `--help`.
-pub const USAGE: &str = "\
-Usage: f2 <command>
+/// One `f2` subcommand as both the parser and `--help` see it.
+struct Cmd {
+    name: &'static str,
+    /// Placeholder of the one positional argument the subcommand requires
+    /// (empty when it takes none).
+    arg: &'static str,
+    summary: &'static str,
+    /// `(flag, value placeholder, help)`; an empty placeholder marks a
+    /// switch that takes no value.
+    flags: &'static [(&'static str, &'static str, &'static str)],
+}
 
-Commands:
-  list [--json]                      list every registered experiment
-  run <name|tag|all> [flags]         run a selection of experiments
-      --quick                        reduced problem sizes (snapshot fidelity)
-      --json                         machine-readable JSON lines
-      --threads <N>                  worker threads for sweeps
-      --seed <N>                     root seed (default 0xF1A65817)
-      --param <key=value>            set a tunable dimension the selected
-                                     experiments declare (repeatable; see
-                                     `f2 list --json`)
-      --scenario <file.json>         load the whole scenario from a JSON
-                                     document (later flags still override)
-      --trace <out.json>             write a Chrome/Perfetto trace of the run
-                                     (or set F2_TRACE=<path>)
-      --metrics                      append the trace summary (hot spans,
-                                     counters, quantiles) to the output
-  check [--golden <dir>]             verify `run --json` lines piped on stdin
-                                     against the golden KPI snapshots
-  check-trace <file> [flags]         validate a trace written by `run --trace`
-      --require-experiments          demand one span per registered experiment
-      --require-workers              demand per-worker executor spans
-      --require-scf-bb               demand the ISS block-cache counters
-                                     (scf.bb.hits/misses/invalidations and
-                                     the scf.bb.block_len histogram)
-  bench [flags]                      run the curated hot-kernel suite
-      --quick                        smaller sizes (baseline/CI configuration)
-      --samples <N>                  measured samples per benchmark
-                                     (or set F2_BENCH_SAMPLES)
-      --filter <substr>              only labels containing the substring
-      --threads <N>                  worker threads for pool-based kernels
-      --out <report.json>            write the f2-bench-v1 JSON report
-      --trace <out.json>             write a Chrome/Perfetto trace (one
-                                     bench:<label> span per kernel)
-  check-bench <baseline.json> [flags]  compare against a committed baseline
-      --current <report.json>        compare this report instead of running
-                                     the suite now
-      --max-regress <pct>            allowed p10 slowdown per kernel
-                                     (default 50); baseline records with a
-                                     max_p10_ns also cap the current p10
-  serve [flags]                      run the batched experiment service
-      --addr <host:port>             bind address (default 127.0.0.1:0,
-                                     port 0 = ephemeral)
-      --threads <N>                  worker threads of the batch pool
-      --shards <N>                   result-cache shard count (default 16)
-      --port-file <path>             write the bound host:port here
-      --log <file.jsonl>             append one f2-serve-log-v1 record per
-                                     /run request (access/event log)
-  campaign <manifest.json> [flags]   expand a scenario manifest and sweep it
-      --out <report.json>            merged f2-campaign-v1 output path
-                                     (default <manifest>.out.json)
-      --checkpoint <file.jsonl>      per-scenario checkpoint journal
-                                     (default <manifest>.checkpoint.jsonl)
-      --resume                       reuse finished scenarios from the
-                                     checkpoint instead of recomputing
-      --threads <N>                  pool workers sweeping the campaign
-      --golden <dist.json>           check the merged KPI distributions
-                                     against this golden (F2_BLESS=1 writes)
-      --progress <file.jsonl>        append f2-campaign-progress-v1
-                                     heartbeats (done/total, throughput, ETA)
-  loadgen [flags]                    drive a running server and report
-                                     throughput/latency
-      --addr <host:port>             server address (required in practice)
-      --rps <N>                      target request rate (default 50)
-      --duration <S>                 timed window in seconds (default 2)
-      --connections <N>              concurrent connections (default 4)
-      --mix <health|cached|sweep>    request profile (default sweep)
-      --warmup <N>                   untimed cache-priming rounds
-      --wait <S>                     wait for /healthz before the run
-      --out <report.json>            write the f2-loadgen-v1 JSON report
-      --expect-all-hits              fail on any cache miss
-      --shutdown                     POST /shutdown instead of load
-      --recent <file.jsonl>          after the run, scrape /debug/recent and
-                                     write its records one per line
-  check-log <file.jsonl>             validate an access log written by
-                                     `serve --log` (one f2-serve-log-v1
-                                     record per line)
-";
+/// Every subcommand, its positional argument and its flags: the single
+/// source of [`parse_args`] and [`usage`]. `\n` in a summary or help
+/// starts a continuation line.
+#[rustfmt::skip]
+const COMMANDS: &[Cmd] = &[
+    Cmd { name: "list", arg: "", summary: "list every registered experiment", flags: &[
+        ("--json", "", "emit the inventory as one JSON document"),
+    ] },
+    Cmd { name: "run", arg: "<name|tag|all>", summary: "run a selection of experiments", flags: &[
+        ("--quick", "", "reduced problem sizes (snapshot fidelity)"),
+        ("--json", "", "machine-readable JSON lines"),
+        ("--threads", "<N>", "worker threads for sweeps"),
+        ("--seed", "<N>", "root seed (default 0xF1A65817)"),
+        ("--param", "<key=value>", "set a tunable dimension the selected\n\
+                                    experiments declare (repeatable; see\n\
+                                    `f2 list --json`)"),
+        ("--scenario", "<file.json>", "load the whole scenario from a JSON\n\
+                                       document (later flags still override)"),
+        ("--trace", "<out.json>", "write a Chrome/Perfetto trace of the run\n\
+                                   (or set F2_TRACE=<path>)"),
+        ("--metrics", "", "append the trace summary (hot spans,\n\
+                           counters, quantiles) to the output"),
+    ] },
+    Cmd { name: "check", arg: "", summary: "verify `run --json` lines piped on stdin\n\
+                                            against the golden KPI snapshots", flags: &[
+        ("--golden", "<dir>", "snapshot directory (default tests/golden)"),
+    ] },
+    Cmd { name: "check-trace", arg: "<file>", summary: "validate a trace written by `run --trace`", flags: &[
+        ("--require-experiments", "", "demand one span per registered experiment"),
+        ("--require-workers", "", "demand per-worker executor spans"),
+        ("--require-scf-bb", "", "demand the ISS block-cache counters\n\
+                                  (scf.bb.hits/misses/invalidations and\n\
+                                  the scf.bb.block_len histogram)"),
+    ] },
+    Cmd { name: "bench", arg: "", summary: "run the curated hot-kernel suite", flags: &[
+        ("--quick", "", "smaller sizes (baseline/CI configuration)"),
+        ("--samples", "<N>", "measured samples per benchmark\n\
+                              (or set F2_BENCH_SAMPLES)"),
+        ("--filter", "<substr>", "only labels containing the substring"),
+        ("--threads", "<N>", "worker threads for pool-based kernels"),
+        ("--out", "<report.json>", "write the f2-bench-v1 JSON report"),
+        ("--trace", "<out.json>", "write a Chrome/Perfetto trace (one\n\
+                                   bench:<label> span per kernel)"),
+    ] },
+    Cmd { name: "check-bench", arg: "<baseline.json>", summary: "compare against a committed baseline", flags: &[
+        ("--current", "<report.json>", "compare this report (same quick and threads\n\
+                                        as the baseline) instead of running the\n\
+                                        suite now at the baseline's configuration"),
+        ("--max-regress", "<pct>", "allowed p10 slowdown per kernel\n\
+                                    (default 50); baseline records with a\n\
+                                    max_p10_ns also cap the current p10"),
+    ] },
+    Cmd { name: "serve", arg: "", summary: "run the batched experiment service", flags: &[
+        ("--addr", "<host:port>", "bind address (default 127.0.0.1:0,\n\
+                                   port 0 = ephemeral)"),
+        ("--threads", "<N>", "worker threads of the batch pool"),
+        ("--shards", "<N>", "result-cache shard count (default 16)"),
+        ("--port-file", "<path>", "write the bound host:port here"),
+        ("--log", "<file.jsonl>", "append one f2-serve-log-v1 record per\n\
+                                   /run request (access/event log)"),
+    ] },
+    Cmd { name: "campaign", arg: "<manifest.json>", summary: "expand a scenario manifest and sweep it", flags: &[
+        ("--out", "<report.json>", "merged f2-campaign-v1 output path\n\
+                                    (default <manifest>.out.json)"),
+        ("--checkpoint", "<file.jsonl>", "per-scenario checkpoint journal\n\
+                                          (default <manifest>.checkpoint.jsonl)"),
+        ("--resume", "", "reuse finished scenarios from the\n\
+                          checkpoint instead of recomputing"),
+        ("--threads", "<N>", "pool workers sweeping the campaign"),
+        ("--golden", "<dist.json>", "check the merged KPI distributions\n\
+                                     against this golden (F2_BLESS=1 writes)"),
+        ("--progress", "<file.jsonl>", "append f2-campaign-progress-v1\n\
+                                        heartbeats (done/total, throughput, ETA)"),
+    ] },
+    Cmd { name: "loadgen", arg: "", summary: "drive a running server and report\n\
+                                              throughput/latency", flags: &[
+        ("--addr", "<host:port>", "server address (required in practice)"),
+        ("--rps", "<N>", "target request rate (default 50)"),
+        ("--duration", "<S>", "timed window in seconds (default 2)"),
+        ("--connections", "<N>", "concurrent connections (default 4)"),
+        ("--mix", "<health|cached|sweep>", "request profile (default sweep)"),
+        ("--warmup", "<N>", "untimed cache-priming rounds"),
+        ("--wait", "<S>", "wait for /healthz before the run"),
+        ("--out", "<report.json>", "write the f2-loadgen-v1 JSON report"),
+        ("--expect-all-hits", "", "fail on any cache miss"),
+        ("--shutdown", "", "POST /shutdown instead of load"),
+        ("--recent", "<file.jsonl>", "after the run, scrape /debug/recent and\n\
+                                      write its records one per line"),
+    ] },
+    Cmd { name: "check-log", arg: "<file.jsonl>", summary: "validate an access log written by\n\
+                                                          `serve --log` (one f2-serve-log-v1\n\
+                                                          record per line)", flags: &[] },
+];
+
+/// Column where summaries and help start in [`usage`].
+const HELP_COL: usize = 36;
+
+/// Appends one `--help` row: `head`, then `text` from [`HELP_COL`], its
+/// continuation lines indented to the same column.
+fn help_row(out: &mut String, head: &str, text: &str) {
+    for (i, line) in text.lines().enumerate() {
+        let head = if i == 0 { head } else { "" };
+        out.push_str(&format!("{head:<HELP_COL$} {line}\n"));
+    }
+}
+
+/// The usage text printed on parse errors and `--help`, rendered from
+/// the same subcommand table [`parse_args`] reads.
+pub fn usage() -> String {
+    let mut out = String::from("Usage: f2 <command>\n\nCommands:\n");
+    for cmd in COMMANDS {
+        let flags = if cmd.flags.is_empty() { "" } else { "[flags]" };
+        let head: Vec<&str> = [cmd.name, cmd.arg, flags]
+            .into_iter()
+            .filter(|s| !s.is_empty())
+            .collect();
+        help_row(&mut out, &format!("  {}", head.join(" ")), cmd.summary);
+        for (flag, value, help) in cmd.flags {
+            help_row(&mut out, format!("      {flag} {value}").trim_end(), help);
+        }
+    }
+    out
+}
+
+/// A subcommand's flags in command-line order, each with its value
+/// (empty for a switch).
+type Flags<'a> = Vec<(&'static str, &'a str)>;
+
+/// Splits a subcommand's arguments against its table entry into the
+/// positional argument (empty when the entry has none) and its [`Flags`].
+fn split<'a>(cmd: &Cmd, args: &'a [String]) -> Result<(&'a str, Flags<'a>), String> {
+    let mut positional = None;
+    let mut flags = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if let Some(&(flag, value, _)) = cmd.flags.iter().find(|(f, ..)| f == arg) {
+            let v = match value {
+                "" => "",
+                _ => it.next().ok_or_else(|| format!("{flag} needs {value}"))?,
+            };
+            flags.push((flag, v));
+        } else if arg.starts_with('-') || cmd.arg.is_empty() {
+            return Err(format!("unknown `{}` argument {arg}", cmd.name));
+        } else if positional.replace(arg.as_str()).is_some() {
+            return Err(format!("`{}` takes one {}", cmd.name, cmd.arg));
+        }
+    }
+    if positional.is_none() && !cmd.arg.is_empty() {
+        return Err(format!("`{}` needs a {} argument", cmd.name, cmd.arg));
+    }
+    Ok((positional.unwrap_or(""), flags))
+}
+
+/// `flag`'s value `v` as a `T` that `ok` accepts.
+fn parse_as<T: std::str::FromStr>(flag: &str, v: &str, ok: fn(&T) -> bool) -> Result<T, String> {
+    v.parse()
+        .ok()
+        .filter(ok)
+        .ok_or_else(|| format!("invalid {flag} value {v}"))
+}
+
+/// A positive integer: a thread, shard, sample or connection count.
+fn count(flag: &str, v: &str) -> Result<usize, String> {
+    parse_as(flag, v, |&n| n > 0)
+}
+
+/// A finite non-negative number.
+fn non_negative(flag: &str, v: &str) -> Result<f64, String> {
+    parse_as(flag, v, |x: &f64| x.is_finite() && *x >= 0.0)
+}
+
+/// A finite positive number.
+fn positive(flag: &str, v: &str) -> Result<f64, String> {
+    parse_as(flag, v, |x: &f64| x.is_finite() && *x > 0.0)
+}
 
 /// Parses command-line arguments (without the program name).
 ///
@@ -264,358 +363,125 @@ Commands:
 ///
 /// Returns a human-readable description of the first problem.
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let cmd = it.next().ok_or("missing command")?;
-    match cmd.as_str() {
-        "list" => {
-            let mut json = false;
-            for a in it {
-                match a.as_str() {
-                    "--json" => json = true,
-                    other => return Err(format!("unknown `list` flag {other}")),
-                }
-            }
-            Ok(Command::List { json })
-        }
-        "run" => {
-            let mut opts = RunOptions::default();
-            let mut selector = None;
-            // Flags apply in order, so `--scenario base.json --seed 9`
-            // loads the file and then overrides its seed.
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--quick" => opts.scenario.fidelity = Fidelity::Quick,
-                    "--json" => opts.json = true,
-                    "--threads" => {
-                        let v = it.next().ok_or("--threads needs a value")?;
-                        opts.scenario.threads = v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("invalid thread count {v}"))?;
-                    }
-                    "--seed" => {
-                        let v = it.next().ok_or("--seed needs a value")?;
-                        opts.scenario.seed =
-                            v.parse::<u64>().map_err(|_| format!("invalid seed {v}"))?;
-                    }
-                    "--param" => {
-                        let v = it.next().ok_or("--param needs key=value")?;
-                        let (key, raw) = v
-                            .split_once('=')
-                            .filter(|(k, _)| !k.is_empty())
-                            .ok_or_else(|| format!("invalid --param {v}; expected key=value"))?;
-                        opts.scenario.set_param(key, ParamValue::parse(raw));
-                    }
-                    "--scenario" => {
-                        let path = it.next().ok_or("--scenario needs a JSON file path")?;
-                        let text = std::fs::read_to_string(path)
-                            .map_err(|e| format!("cannot read scenario {path}: {e}"))?;
-                        let doc = Json::parse(&text)
-                            .map_err(|e| format!("scenario {path}: malformed JSON: {e}"))?;
-                        opts.scenario = Scenario::from_json(&doc)
-                            .map_err(|e| format!("scenario {path}: {e}"))?;
-                    }
-                    "--trace" => {
-                        opts.trace = Some(PathBuf::from(
-                            it.next().ok_or("--trace needs an output path")?,
-                        ));
-                    }
-                    "--metrics" => opts.metrics = true,
-                    flag if flag.starts_with('-') => {
-                        return Err(format!("unknown `run` flag {flag}"));
-                    }
-                    name => {
-                        if selector.replace(name.to_string()).is_some() {
-                            return Err("multiple selectors; pass one name, tag or `all`".into());
-                        }
-                    }
-                }
-            }
-            opts.selector = selector.ok_or("missing selector: a name, tag or `all`")?;
-            Ok(Command::Run(opts))
-        }
-        "check" => {
-            let mut golden_dir = default_golden_dir();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--golden" => {
-                        golden_dir = PathBuf::from(it.next().ok_or("--golden needs a value")?);
-                    }
-                    other => return Err(format!("unknown `check` flag {other}")),
-                }
-            }
-            Ok(Command::Check { golden_dir })
-        }
-        "check-trace" => {
-            let mut path = None;
-            let mut require_experiments = false;
-            let mut require_workers = false;
-            let mut require_scf_bb = false;
-            for a in it {
-                match a.as_str() {
-                    "--require-experiments" => require_experiments = true,
-                    "--require-workers" => require_workers = true,
-                    "--require-scf-bb" => require_scf_bb = true,
-                    flag if flag.starts_with('-') => {
-                        return Err(format!("unknown `check-trace` flag {flag}"));
-                    }
-                    file => {
-                        if path.replace(PathBuf::from(file)).is_some() {
-                            return Err("multiple trace files; pass exactly one".into());
-                        }
-                    }
-                }
-            }
-            Ok(Command::CheckTrace {
-                path: path.ok_or("missing trace file: pass the `run --trace` output")?,
-                require_experiments,
-                require_workers,
-                require_scf_bb,
-            })
-        }
-        "bench" => {
-            let mut opts = BenchOptions::default();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--quick" => opts.quick = true,
-                    "--samples" => {
-                        let v = it.next().ok_or("--samples needs a value")?;
-                        opts.samples = v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("invalid sample count {v}"))?;
-                    }
-                    "--filter" => {
-                        opts.filter = Some(it.next().ok_or("--filter needs a value")?.to_string());
-                    }
-                    "--threads" => {
-                        let v = it.next().ok_or("--threads needs a value")?;
-                        opts.threads = v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("invalid thread count {v}"))?;
-                    }
-                    "--out" => {
-                        opts.out = Some(PathBuf::from(
-                            it.next().ok_or("--out needs an output path")?,
-                        ));
-                    }
-                    "--trace" => {
-                        opts.trace = Some(PathBuf::from(
-                            it.next().ok_or("--trace needs an output path")?,
-                        ));
-                    }
-                    other => return Err(format!("unknown `bench` flag {other}")),
-                }
-            }
-            Ok(Command::Bench(opts))
-        }
-        "check-bench" => {
-            let mut baseline = None;
-            let mut current = None;
-            let mut max_regress = 50.0f64;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--current" => {
-                        current = Some(PathBuf::from(
-                            it.next().ok_or("--current needs a report path")?,
-                        ));
-                    }
-                    "--max-regress" => {
-                        let v = it.next().ok_or("--max-regress needs a percentage")?;
-                        max_regress = v
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|p| p.is_finite() && *p >= 0.0)
-                            .ok_or_else(|| format!("invalid regression bound {v}"))?;
-                    }
-                    flag if flag.starts_with('-') => {
-                        return Err(format!("unknown `check-bench` flag {flag}"));
-                    }
-                    file => {
-                        if baseline.replace(PathBuf::from(file)).is_some() {
-                            return Err("multiple baselines; pass exactly one".into());
-                        }
-                    }
-                }
-            }
-            Ok(Command::CheckBench {
-                baseline: baseline.ok_or("missing baseline: pass a `bench --out` report")?,
-                current,
-                max_regress,
-            })
-        }
-        "serve" => {
-            let mut cfg = f2_core::serve::ServeConfig::default();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--addr" => {
-                        cfg.addr = it.next().ok_or("--addr needs host:port")?.to_string();
-                    }
-                    "--threads" => {
-                        let v = it.next().ok_or("--threads needs a value")?;
-                        cfg.threads = v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("invalid thread count {v}"))?;
-                    }
-                    "--shards" => {
-                        let v = it.next().ok_or("--shards needs a value")?;
-                        cfg.shards = v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("invalid shard count {v}"))?;
-                    }
-                    "--port-file" => {
-                        cfg.port_file =
-                            Some(PathBuf::from(it.next().ok_or("--port-file needs a path")?));
-                    }
-                    "--log" => {
-                        cfg.log = Some(PathBuf::from(it.next().ok_or("--log needs a path")?));
-                    }
-                    other => return Err(format!("unknown `serve` flag {other}")),
-                }
-            }
-            Ok(Command::Serve(cfg))
-        }
-        "loadgen" => {
-            let mut opts = crate::loadgen::LoadgenOptions::default();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--addr" => {
-                        opts.addr = it.next().ok_or("--addr needs host:port")?.to_string();
-                    }
-                    "--rps" => {
-                        let v = it.next().ok_or("--rps needs a value")?;
-                        opts.rps = v
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|r| r.is_finite() && *r > 0.0)
-                            .ok_or_else(|| format!("invalid request rate {v}"))?;
-                    }
-                    "--duration" => {
-                        let v = it.next().ok_or("--duration needs seconds")?;
-                        opts.duration_s = v
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|d| d.is_finite() && *d > 0.0)
-                            .ok_or_else(|| format!("invalid duration {v}"))?;
-                    }
-                    "--connections" => {
-                        let v = it.next().ok_or("--connections needs a value")?;
-                        opts.connections = v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("invalid connection count {v}"))?;
-                    }
-                    "--mix" => {
-                        opts.mix = crate::loadgen::Mix::parse(
-                            it.next().ok_or("--mix needs a profile name")?,
-                        )?;
-                    }
-                    "--warmup" => {
-                        let v = it.next().ok_or("--warmup needs a round count")?;
-                        opts.warmup = v
-                            .parse::<usize>()
-                            .map_err(|_| format!("invalid warmup rounds {v}"))?;
-                    }
-                    "--wait" => {
-                        let v = it.next().ok_or("--wait needs seconds")?;
-                        opts.wait_s = v
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|w| w.is_finite() && *w >= 0.0)
-                            .ok_or_else(|| format!("invalid wait {v}"))?;
-                    }
-                    "--out" => {
-                        opts.out = Some(PathBuf::from(
-                            it.next().ok_or("--out needs an output path")?,
-                        ));
-                    }
-                    "--expect-all-hits" => opts.expect_all_hits = true,
-                    "--shutdown" => opts.shutdown = true,
-                    "--recent" => {
-                        opts.recent = Some(PathBuf::from(
-                            it.next().ok_or("--recent needs an output path")?,
-                        ));
-                    }
-                    other => return Err(format!("unknown `loadgen` flag {other}")),
-                }
-            }
-            Ok(Command::Loadgen(opts))
-        }
-        "campaign" => {
-            let mut manifest = None;
-            let mut opts = crate::campaign::CampaignOptions::default();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--out" => {
-                        opts.out = Some(PathBuf::from(
-                            it.next().ok_or("--out needs an output path")?,
-                        ));
-                    }
-                    "--checkpoint" => {
-                        opts.checkpoint =
-                            Some(PathBuf::from(it.next().ok_or("--checkpoint needs a path")?));
-                    }
-                    "--resume" => opts.resume = true,
-                    "--threads" => {
-                        let v = it.next().ok_or("--threads needs a value")?;
-                        opts.threads = v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("invalid thread count {v}"))?;
-                    }
-                    "--golden" => {
-                        opts.golden = Some(PathBuf::from(
-                            it.next().ok_or("--golden needs a dist-golden path")?,
-                        ));
-                    }
-                    "--progress" => {
-                        opts.progress =
-                            Some(PathBuf::from(it.next().ok_or("--progress needs a path")?));
-                    }
-                    flag if flag.starts_with('-') => {
-                        return Err(format!("unknown `campaign` flag {flag}"));
-                    }
-                    file => {
-                        if manifest.replace(PathBuf::from(file)).is_some() {
-                            return Err("multiple manifests; pass exactly one".into());
-                        }
-                    }
-                }
-            }
-            opts.manifest = manifest.ok_or("missing manifest: pass a campaign JSON file")?;
-            Ok(Command::Campaign(opts))
-        }
-        "check-log" => {
-            let mut path = None;
-            for a in it {
-                match a.as_str() {
-                    flag if flag.starts_with('-') => {
-                        return Err(format!("unknown `check-log` flag {flag}"));
-                    }
-                    file => {
-                        if path.replace(PathBuf::from(file)).is_some() {
-                            return Err("multiple log files; pass exactly one".into());
-                        }
-                    }
-                }
-            }
-            Ok(Command::CheckLog {
-                path: path.ok_or("missing log file: pass the `serve --log` output")?,
-            })
-        }
-        "--help" | "-h" | "help" => Err(USAGE.to_string()),
-        other => Err(format!("unknown command {other}\n\n{USAGE}")),
+    use crate::campaign::CampaignOptions;
+    use crate::loadgen::{LoadgenOptions, Mix};
+    let (name, rest) = args.split_first().ok_or("missing command")?;
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        return Err(usage());
     }
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command {name}\n\n{}", usage()))?;
+    let (arg, flags) = split(cmd, rest)?;
+    let mut command = match cmd.name {
+        "list" => Command::List { json: false },
+        "run" => Command::Run(RunOptions {
+            selector: arg.to_string(),
+            ..RunOptions::default()
+        }),
+        "check" => Command::Check {
+            golden_dir: default_golden_dir(),
+        },
+        "check-trace" => Command::CheckTrace {
+            path: arg.into(),
+            require_experiments: false,
+            require_workers: false,
+            require_scf_bb: false,
+        },
+        "bench" => Command::Bench(BenchOptions::default()),
+        "check-bench" => Command::CheckBench {
+            baseline: arg.into(),
+            current: None,
+            max_regress: 50.0,
+        },
+        "serve" => Command::Serve(f2_core::serve::ServeConfig::default()),
+        "campaign" => Command::Campaign(CampaignOptions {
+            manifest: arg.into(),
+            ..CampaignOptions::default()
+        }),
+        "loadgen" => Command::Loadgen(LoadgenOptions::default()),
+        "check-log" => Command::CheckLog { path: arg.into() },
+        other => unreachable!("subcommand {other} is in the table but has no handler"),
+    };
+    // Flags apply in order, so `run --scenario base.json --seed 9` loads
+    // the file and then overrides its seed.
+    for (flag, v) in flags {
+        match (&mut command, flag) {
+            (Command::List { json }, "--json") => *json = true,
+            (Command::Run(o), "--quick") => o.scenario.fidelity = Fidelity::Quick,
+            (Command::Run(o), "--json") => o.json = true,
+            (Command::Run(o), "--threads") => o.scenario.threads = count(flag, v)?,
+            (Command::Run(o), "--seed") => o.scenario.seed = parse_as(flag, v, |_| true)?,
+            (Command::Run(o), "--param") => {
+                let (key, raw) = v
+                    .split_once('=')
+                    .filter(|(k, _)| !k.is_empty())
+                    .ok_or_else(|| format!("invalid --param {v}; expected key=value"))?;
+                o.scenario.set_param(key, ParamValue::parse(raw));
+            }
+            (Command::Run(o), "--scenario") => {
+                let text = std::fs::read_to_string(v)
+                    .map_err(|e| format!("cannot read scenario {v}: {e}"))?;
+                let doc =
+                    Json::parse(&text).map_err(|e| format!("scenario {v}: malformed JSON: {e}"))?;
+                o.scenario = Scenario::from_json(&doc).map_err(|e| format!("scenario {v}: {e}"))?;
+            }
+            (Command::Run(o), "--trace") => o.trace = Some(v.into()),
+            (Command::Run(o), "--metrics") => o.metrics = true,
+            (Command::Check { golden_dir }, "--golden") => *golden_dir = v.into(),
+            (
+                Command::CheckTrace {
+                    require_experiments,
+                    ..
+                },
+                "--require-experiments",
+            ) => *require_experiments = true,
+            (
+                Command::CheckTrace {
+                    require_workers, ..
+                },
+                "--require-workers",
+            ) => *require_workers = true,
+            (Command::CheckTrace { require_scf_bb, .. }, "--require-scf-bb") => {
+                *require_scf_bb = true
+            }
+            (Command::Bench(o), "--quick") => o.quick = true,
+            (Command::Bench(o), "--samples") => o.samples = count(flag, v)?,
+            (Command::Bench(o), "--filter") => o.filter = Some(v.to_string()),
+            (Command::Bench(o), "--threads") => o.threads = count(flag, v)?,
+            (Command::Bench(o), "--out") => o.out = Some(v.into()),
+            (Command::Bench(o), "--trace") => o.trace = Some(v.into()),
+            (Command::CheckBench { current, .. }, "--current") => *current = Some(v.into()),
+            (Command::CheckBench { max_regress, .. }, "--max-regress") => {
+                *max_regress = non_negative(flag, v)?;
+            }
+            (Command::Serve(c), "--addr") => c.addr = v.to_string(),
+            (Command::Serve(c), "--threads") => c.threads = count(flag, v)?,
+            (Command::Serve(c), "--shards") => c.shards = count(flag, v)?,
+            (Command::Serve(c), "--port-file") => c.port_file = Some(v.into()),
+            (Command::Serve(c), "--log") => c.log = Some(v.into()),
+            (Command::Campaign(o), "--out") => o.out = Some(v.into()),
+            (Command::Campaign(o), "--checkpoint") => o.checkpoint = Some(v.into()),
+            (Command::Campaign(o), "--resume") => o.resume = true,
+            (Command::Campaign(o), "--threads") => o.threads = count(flag, v)?,
+            (Command::Campaign(o), "--golden") => o.golden = Some(v.into()),
+            (Command::Campaign(o), "--progress") => o.progress = Some(v.into()),
+            (Command::Loadgen(o), "--addr") => o.addr = v.to_string(),
+            (Command::Loadgen(o), "--rps") => o.rps = positive(flag, v)?,
+            (Command::Loadgen(o), "--duration") => o.duration_s = positive(flag, v)?,
+            (Command::Loadgen(o), "--connections") => o.connections = count(flag, v)?,
+            (Command::Loadgen(o), "--mix") => o.mix = Mix::parse(v)?,
+            (Command::Loadgen(o), "--warmup") => o.warmup = parse_as(flag, v, |_| true)?,
+            (Command::Loadgen(o), "--wait") => o.wait_s = non_negative(flag, v)?,
+            (Command::Loadgen(o), "--out") => o.out = Some(v.into()),
+            (Command::Loadgen(o), "--expect-all-hits") => o.expect_all_hits = true,
+            (Command::Loadgen(o), "--shutdown") => o.shutdown = true,
+            (Command::Loadgen(o), "--recent") => o.recent = Some(v.into()),
+            _ => unreachable!("`{name}` flag {flag} is in the table but has no handler"),
+        }
+    }
+    Ok(command)
 }
 
 /// Prints the experiment inventory.
@@ -1213,7 +1079,8 @@ fn compare_bench(
 /// records exactly for this purpose — and fails any kernel more than
 /// `max_regress` percent slower. Without `--current` the suite runs
 /// in-process using the baseline's own quick/samples/threads
-/// configuration. Wall-clock numbers are machine-dependent, so baselines
+/// configuration; a `--current` report whose quick or threads differ from
+/// the baseline's fails (exit 1) without comparing. Wall-clock numbers are machine-dependent, so baselines
 /// only mean something on the machine that produced them; CI regenerates
 /// its own current run and uses a generous bound.
 ///
@@ -1236,6 +1103,22 @@ pub fn check_bench(
     };
     let cur_p10 = match current {
         Some(path) => match load_bench_doc(path) {
+            // p10s measured at another fidelity or thread count are not
+            // comparable with the baseline's.
+            Ok(d) if (d.quick, d.threads) != (base.quick, base.threads) => {
+                eprintln!(
+                    "f2 check-bench: {} ran quick={} threads={} but the baseline {} ran \
+                     quick={} threads={}; compare like with like (omit --current to \
+                     re-run the suite at the baseline's configuration)",
+                    path.display(),
+                    d.quick,
+                    d.threads,
+                    baseline.display(),
+                    base.quick,
+                    base.threads
+                );
+                return 1;
+            }
             Ok(d) => d.p10_ns,
             Err((code, msg)) => {
                 eprintln!("f2 check-bench: {msg}");
@@ -1766,6 +1649,68 @@ mod tests {
     }
 
     #[test]
+    fn usage_lists_every_table_entry_in_order() {
+        let text = usage();
+        let rows: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("  ") && !l.starts_with(&" ".repeat(HELP_COL)))
+            .collect();
+        let expected: Vec<String> = COMMANDS
+            .iter()
+            .flat_map(|c| {
+                let flags = c.flags.iter().map(|(flag, value, _)| {
+                    format!("{} ", format!("      {flag} {value}").trim_end())
+                });
+                std::iter::once(format!("  {} ", c.name)).chain(flags)
+            })
+            .collect();
+        assert_eq!(rows.len(), expected.len(), "{text}");
+        for (row, want) in rows.iter().zip(&expected) {
+            assert!(
+                row.starts_with(want.as_str()),
+                "{row:?} should start {want:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_args_never_panics_on_table_tokens() {
+        // Every table flag, given a plain value, reaches a handler.
+        for cmd in COMMANDS {
+            for (flag, value, _) in cmd.flags {
+                let mut argv = args(&[cmd.name, flag]);
+                if !cmd.arg.is_empty() {
+                    argv.insert(1, "x".to_string());
+                }
+                if !value.is_empty() {
+                    argv.push("1".to_string());
+                }
+                let _ = parse_args(&argv);
+            }
+        }
+        f2_core::ptest::run("parse_args_no_panic", |g| {
+            const VALUES: [&str; 8] = ["1", "0", "-3", "k=1", "/tmp/x", "sweep", "", "--"];
+            const ALPHABET: &[u8] = b"-=/.a0x ";
+            let cmd = &COMMANDS[g.usize_in(0..COMMANDS.len())];
+            let mut argv = vec![cmd.name.to_string()];
+            for _ in 0..g.usize_in(0..6) {
+                let token = match g.usize_in(0..4) {
+                    0 | 1 if !cmd.flags.is_empty() => {
+                        cmd.flags[g.usize_in(0..cmd.flags.len())].0.to_string()
+                    }
+                    0..=2 => VALUES[g.usize_in(0..VALUES.len())].to_string(),
+                    _ => g
+                        .vec(0..8, |g| ALPHABET[g.usize_in(0..ALPHABET.len())] as char)
+                        .into_iter()
+                        .collect(),
+                };
+                argv.push(token);
+            }
+            let _ = parse_args(&argv);
+        });
+    }
+
+    #[test]
     fn parses_check_log() {
         let Command::CheckLog { path } =
             parse_args(&args(&["check-log", "serve.jsonl"])).expect("parses")
@@ -2022,6 +1967,27 @@ mod tests {
         std::fs::write(&wrong, "{\"schema\":\"other\",\"records\":[]}").expect("writable tmp");
         assert_eq!(check_bench(&wrong, Some(&base), 50.0), 1);
         for p in [&base, &partial, &bad, &wrong] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn check_bench_rejects_a_report_of_another_configuration() {
+        let dir = std::env::temp_dir();
+        let base = dir.join("f2-check-bench-config-base.json");
+        let cur = dir.join("f2-check-bench-config-cur.json");
+        let doc = bench_doc(&[("g/a", 100)]);
+        std::fs::write(&base, &doc).expect("writable tmp");
+        // Identical timings, but two threads against a one-thread baseline
+        // (and full against quick): not comparable, so exit 1.
+        for other in [
+            doc.replace("\"threads\":1", "\"threads\":2"),
+            doc.replace("\"quick\":true", "\"quick\":false"),
+        ] {
+            std::fs::write(&cur, other).expect("writable tmp");
+            assert_eq!(check_bench(&base, Some(&cur), 50.0), 1);
+        }
+        for p in [&base, &cur] {
             let _ = std::fs::remove_file(p);
         }
     }

@@ -341,8 +341,7 @@ fn bench_serve(h: &mut Harness, cfg: &SuiteConfig) {
     /// Requests per `serve/throughput` iteration.
     const BURST: usize = 32;
     /// The identical cached request both benchmarks replay.
-    const BODY: &[u8] =
-        b"{\"experiment\":\"fig1_landscape\",\"seed\":0,\"quick\":true,\"threads\":1}";
+    const BODY: &[u8] = b"{\"experiment\":\"fig1_landscape\",\"scenario\":{\"seed\":0}}";
     let wants = |label: &str| {
         cfg.filter
             .as_deref()

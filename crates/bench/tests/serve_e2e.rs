@@ -64,7 +64,7 @@ fn serve_answers_the_full_protocol_over_the_real_registry() {
     assert_eq!(roundtrip(addr, "GET", "/nope", b"").status, 404);
 
     // A real experiment computes once, then replays bit-identically.
-    let body = br#"{"experiment":"fig1_landscape","seed":0,"quick":true,"threads":1}"#;
+    let body = br#"{"experiment":"fig1_landscape","scenario":{"seed":0}}"#;
     let first = roundtrip(addr, "POST", "/run", body);
     assert_eq!(first.status, 200);
     assert_eq!(first.header("x-f2-cache"), Some("miss"));
@@ -73,6 +73,12 @@ fn serve_answers_the_full_protocol_over_the_real_registry() {
         report.get("schema").and_then(Json::as_str),
         Some(serve::RUN_SCHEMA)
     );
+    // The one response shape: the canonical scenario, no top-level
+    // run configuration.
+    assert!(report.get("scenario").is_some());
+    assert!(["seed", "quick", "threads"]
+        .iter()
+        .all(|member| report.get(member).is_none()));
     assert!(report
         .get("report")
         .and_then(|r| r.get("kpis"))

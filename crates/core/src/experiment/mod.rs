@@ -15,6 +15,7 @@
 //!
 //! ```
 //! use f2_core::experiment::{Experiment, ExperimentCtx, ExperimentReport};
+//! use f2_core::scenario::Scenario;
 //!
 //! struct Demo;
 //! impl Experiment for Demo {
@@ -27,7 +28,7 @@
 //!     }
 //! }
 //!
-//! let mut ctx = ExperimentCtx::quiet(42, true, 1);
+//! let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
 //! let report = Demo.run(&mut ctx).unwrap();
 //! assert_eq!(report.kpis[0].value, 4.0);
 //! ```
@@ -173,26 +174,6 @@ impl ExperimentCtx {
         let mut ctx = Self::from_scenario(scenario);
         ctx.output = Output::Buffer(String::new());
         ctx
-    }
-
-    /// Compatibility constructor for the legacy `(seed, quick, threads)`
-    /// tuple: a stdout context over a param-free [`Scenario`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn new(seed: u64, quick: bool, threads: usize) -> Self {
-        Self::from_scenario(&Scenario::from_legacy(seed, quick, threads))
-    }
-
-    /// Compatibility constructor: like [`ExperimentCtx::new`] but buffering
-    /// output (retrieve it with [`ExperimentCtx::rendered`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn quiet(seed: u64, quick: bool, threads: usize) -> Self {
-        Self::quiet_scenario(&Scenario::from_legacy(seed, quick, threads))
     }
 
     /// The scenario this context runs.
@@ -633,7 +614,7 @@ mod tests {
 
     #[test]
     fn ctx_collects_kpis_and_output() {
-        let mut ctx = ExperimentCtx::quiet(7, false, 2);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::new(7, Fidelity::Full, 2));
         ctx.section("demo");
         ctx.table(&["k", "v"], &[vec!["a".to_string(), "1".to_string()]]);
         ctx.note("done");
@@ -649,7 +630,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate KPI")]
     fn duplicate_kpi_rejected() {
-        let mut ctx = ExperimentCtx::quiet(7, false, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::new(7, Fidelity::Full, 1));
         ctx.kpi("x", 1.0);
         ctx.kpi("x", 2.0);
     }
@@ -657,14 +638,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be finite")]
     fn non_finite_kpi_rejected() {
-        let mut ctx = ExperimentCtx::quiet(7, false, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::new(7, Fidelity::Full, 1));
         ctx.kpi("x", f64::NAN);
     }
 
     #[test]
     fn ctx_rng_is_deterministic() {
         use crate::rng::Rng;
-        let ctx = ExperimentCtx::quiet(11, false, 1);
+        let ctx = ExperimentCtx::quiet_scenario(&Scenario::new(11, Fidelity::Full, 1));
         let a: u64 = ctx.rng_for("stream").gen();
         let b: u64 = ctx.rng_for("stream").gen();
         let c: u64 = ctx.rng_for("other").gen();
@@ -674,7 +655,7 @@ mod tests {
 
     #[test]
     fn ctx_exec_pool_matches_sequential() {
-        let ctx = ExperimentCtx::quiet(1, false, 3);
+        let ctx = ExperimentCtx::quiet_scenario(&Scenario::new(1, Fidelity::Full, 3));
         assert_eq!(ctx.exec().threads(), 3);
         assert_eq!(ctx.threads(), 3);
         let items: Vec<u64> = (0..17).collect();
@@ -686,7 +667,7 @@ mod tests {
 
     #[test]
     fn ctx_reads_scenario_params_with_defaults() {
-        let scenario = Scenario::from_legacy(3, true, 2)
+        let scenario = Scenario::new(3, Fidelity::Quick, 2)
             .with_param("cells", ParamValue::Num(800.0))
             .with_param("scale", ParamValue::Num(0.5))
             .with_param("pattern", ParamValue::Str("diag".into()));
@@ -701,15 +682,6 @@ mod tests {
         assert_eq!(ctx.param_f64("absent", 1.0), 1.0);
         assert_eq!(ctx.param_str("pattern", "dense"), "diag");
         assert_eq!(ctx.param_str("absent", "dense"), "dense");
-    }
-
-    #[test]
-    fn legacy_constructors_are_param_free_scenarios() {
-        let ctx = ExperimentCtx::quiet(9, false, 4);
-        assert!(!ctx.quick());
-        assert_eq!(ctx.fidelity(), Fidelity::Full);
-        assert_eq!(ctx.scenario(), &Scenario::from_legacy(9, false, 4));
-        assert!(ctx.scenario().params().is_empty());
     }
 
     #[test]
@@ -771,7 +743,7 @@ mod tests {
     #[test]
     fn ctx_sections_and_spans_are_traced() {
         let session = crate::trace::session();
-        let mut ctx = ExperimentCtx::quiet(1, true, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::new(1, Fidelity::Quick, 1));
         ctx.section("alpha");
         {
             let _inner = ctx.span("inner");
@@ -796,7 +768,7 @@ mod tests {
 
     #[test]
     fn report_json_round_trip() {
-        let mut ctx = ExperimentCtx::quiet(1, true, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::new(1, Fidelity::Quick, 1));
         ctx.kpi("alpha", 0.25);
         ctx.kpi_tol("beta", -3.0, 0.05);
         let report = ctx.report("rt");

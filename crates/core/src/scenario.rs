@@ -213,19 +213,6 @@ impl Scenario {
         }
     }
 
-    /// The legacy `(seed, quick, threads)` tuple as a scenario.
-    pub fn from_legacy(seed: u64, quick: bool, threads: usize) -> Self {
-        Self::new(
-            seed,
-            if quick {
-                Fidelity::Quick
-            } else {
-                Fidelity::Full
-            },
-            threads,
-        )
-    }
-
     /// Sets (or replaces) one param, keeping the map key-sorted.
     ///
     /// # Panics
@@ -407,7 +394,6 @@ mod tests {
         assert!(s.fidelity.is_quick());
         assert_eq!(s.threads, 1);
         assert!(s.params().is_empty());
-        assert_eq!(s, Scenario::from_legacy(crate::rng::DEFAULT_SEED, true, 1));
     }
 
     #[test]

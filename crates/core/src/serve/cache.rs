@@ -35,15 +35,6 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// The legacy `(experiment, seed, quick, threads)` tuple as a key over
-    /// a param-free scenario.
-    pub fn legacy(experiment: &str, seed: u64, quick: bool, threads: usize) -> Self {
-        Self {
-            experiment: experiment.to_string(),
-            scenario: Scenario::from_legacy(seed, quick, threads),
-        }
-    }
-
     /// Deterministic FNV-1a hash over all fields — the shard selector.
     /// Built on the scenario's stable content hash (same FNV-1a family)
     /// instead of [`std::hash::DefaultHasher`] so shard assignment is
@@ -196,11 +187,19 @@ impl<V: Clone> ShardedCache<V> {
 mod tests {
     use super::*;
     use crate::exec::Pool;
+    use crate::scenario::Fidelity;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     fn key(experiment: &str, seed: u64) -> CacheKey {
-        CacheKey::legacy(experiment, seed, true, 1)
+        scenario_key(experiment, Scenario::new(seed, Fidelity::Quick, 1))
+    }
+
+    fn scenario_key(experiment: &str, scenario: Scenario) -> CacheKey {
+        CacheKey {
+            experiment: experiment.to_string(),
+            scenario,
+        }
     }
 
     /// A deterministic stand-in for an encoded report body.
@@ -236,12 +235,12 @@ mod tests {
         use crate::scenario::ParamValue;
         let cache: ShardedCache<u32> = ShardedCache::new(4);
         let base = key("demo", 1);
-        let quick_off = CacheKey::legacy("demo", 1, false, 1);
-        let more_threads = CacheKey::legacy("demo", 1, true, 8);
-        let with_param = CacheKey {
-            experiment: "demo".to_string(),
-            scenario: base.scenario.clone().with_param("n", ParamValue::Num(64.0)),
-        };
+        let quick_off = scenario_key("demo", Scenario::new(1, Fidelity::Full, 1));
+        let more_threads = scenario_key("demo", Scenario::new(1, Fidelity::Quick, 8));
+        let with_param = scenario_key(
+            "demo",
+            base.scenario.clone().with_param("n", ParamValue::Num(64.0)),
+        );
         cache.insert(base.clone(), 1);
         cache.insert(quick_off.clone(), 2);
         cache.insert(more_threads.clone(), 3);

@@ -23,12 +23,13 @@
 //!   ever queued.
 //!
 //! Endpoints: `GET /healthz`, `GET /experiments`, `GET /metrics`,
-//! `GET /debug/recent`, `POST /run` (`{"experiment", "seed"?, "quick"?,
-//! "threads"?}` or `{"experiment", "scenario": {...}}` with a full
-//! scenario block — the two forms are mutually exclusive) and
-//! `POST /shutdown`. `/run` responses carry an `X-F2-Cache: hit|miss`
-//! header; the body never encodes cache state, so cached and fresh
-//! responses stay bit-identical.
+//! `GET /debug/recent`, `POST /run` (`{"experiment", "scenario"?: {...}}`;
+//! an absent scenario block means [`Scenario::default`]) and
+//! `POST /shutdown`. Every `/run` 200 body is
+//! `{"schema", "experiment", "scenario", "report"}` with the canonical
+//! scenario. `/run` responses carry an `X-F2-Cache: hit|miss` header; the
+//! body never encodes cache state, so cached and fresh responses stay
+//! bit-identical.
 //!
 //! Every `/run` is **request-scoped observable**: the server accepts a
 //! client trace id via the `X-F2-Trace-Id` header (or mints one) and
@@ -47,7 +48,7 @@ pub mod http;
 use crate::exec::Pool;
 use crate::experiment::{ExperimentCtx, Registry};
 use crate::json::{Json, ToJson};
-use crate::scenario::{Fidelity, Scenario};
+use crate::scenario::Scenario;
 use crate::trace;
 use cache::{CacheKey, ShardedCache};
 use http::{Request, Response};
@@ -709,22 +710,10 @@ fn debug_recent(shared: &Shared) -> Response {
     Response::json(200, doc.encode())
 }
 
-/// Extracts a non-negative integer from a JSON number (rejects
-/// fractional, negative and precision-losing values).
-fn json_u64(value: &Json) -> Option<u64> {
-    let v = value.as_f64()?;
-    if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= 2f64.powi(53) {
-        Some(v as u64)
-    } else {
-        None
-    }
-}
-
 /// Parses and validates a `/run` body into a cache key; the error side is
-/// the 4xx response to send back. The body carries either the legacy
-/// `seed`/`quick`/`threads` members or a full `scenario` block — mixing
-/// the two is rejected, and scenario params must be dimensions the target
-/// experiment declares.
+/// the 4xx response to send back. The body holds the `experiment` name and
+/// an optional `scenario` block (absent means [`Scenario::default`]);
+/// scenario params must be dimensions the target experiment declares.
 fn parse_run_body(body: &[u8], registry: &Registry) -> Result<CacheKey, Box<Response>> {
     let err = |status: u16, msg: &str| Err(Box::new(Response::error(status, msg)));
     let Ok(text) = std::str::from_utf8(body) else {
@@ -738,11 +727,11 @@ fn parse_run_body(body: &[u8], registry: &Registry) -> Result<CacheKey, Box<Resp
         return err(400, "body must be a JSON object");
     };
     for (name, _) in members {
-        if !matches!(
-            name.as_str(),
-            "experiment" | "seed" | "quick" | "threads" | "scenario"
-        ) {
-            return err(400, &format!("unknown member `{name}`"));
+        if !matches!(name.as_str(), "experiment" | "scenario") {
+            return err(
+                400,
+                &format!("unknown member `{name}`; a body holds `experiment` and `scenario`"),
+            );
         }
     }
     let Some(experiment) = doc.get("experiment").and_then(Json::as_str) else {
@@ -751,45 +740,10 @@ fn parse_run_body(body: &[u8], registry: &Registry) -> Result<CacheKey, Box<Resp
     let Some(exp) = registry.find(experiment) else {
         return err(404, &format!("unknown experiment `{experiment}`"));
     };
-    let scenario = if let Some(block) = doc.get("scenario") {
-        if doc.get("seed").is_some() || doc.get("quick").is_some() || doc.get("threads").is_some() {
-            return err(
-                400,
-                "`scenario` excludes the legacy `seed`/`quick`/`threads` members",
-            );
-        }
-        match Scenario::from_json(block) {
-            Ok(s) => s,
-            Err(e) => return err(400, &format!("invalid `scenario`: {e}")),
-        }
-    } else {
-        let seed = match doc.get("seed") {
-            None => crate::rng::DEFAULT_SEED,
-            Some(v) => match json_u64(v) {
-                Some(seed) => seed,
-                None => return err(400, "`seed` must be a non-negative integer"),
-            },
-        };
-        let quick = match doc.get("quick") {
-            None => true,
-            Some(v) => match v.as_bool() {
-                Some(q) => q,
-                None => return err(400, "`quick` must be a boolean"),
-            },
-        };
-        let threads = match doc.get("threads") {
-            None => 1,
-            Some(v) => match json_u64(v) {
-                Some(t) if (1..=MAX_RUN_THREADS).contains(&t) => t as usize,
-                _ => {
-                    return err(
-                        400,
-                        &format!("`threads` must be an integer in 1..={MAX_RUN_THREADS}"),
-                    )
-                }
-            },
-        };
-        Scenario::from_legacy(seed, quick, threads)
+    let scenario = match doc.get("scenario").map(Scenario::from_json) {
+        None => Scenario::default(),
+        Some(Ok(s)) => s,
+        Some(Err(e)) => return err(400, &format!("invalid `scenario`: {e}")),
     };
     if scenario.threads as u64 > MAX_RUN_THREADS {
         return err(
@@ -1016,29 +970,15 @@ fn run_experiment(registry: &Registry, key: &CacheKey) -> Result<Vec<u8>, String
         let mut ctx = ExperimentCtx::quiet_scenario(&key.scenario);
         exp.run(&mut ctx)
     }));
-    let scenario = &key.scenario;
-    // Param-free quick/full runs keep the legacy body shape so pre-scenario
-    // clients (and cached pre-scenario responses) stay byte-compatible;
-    // parameterized or scaled runs embed the full canonical scenario.
-    let legacy_shape = scenario.params().is_empty()
-        && !matches!(scenario.fidelity, Fidelity::Scale(_))
-        && scenario.seed <= (1u64 << 53);
     match outcome {
-        Ok(Ok(report)) => {
-            let mut members = vec![
-                ("schema".to_string(), RUN_SCHEMA.to_json()),
-                ("experiment".to_string(), key.experiment.to_json()),
-            ];
-            if legacy_shape {
-                members.push(("seed".to_string(), scenario.seed.to_json()));
-                members.push(("quick".to_string(), scenario.fidelity.is_quick().to_json()));
-                members.push(("threads".to_string(), scenario.threads.to_json()));
-            } else {
-                members.push(("scenario".to_string(), scenario.to_json()));
-            }
-            members.push(("report".to_string(), report.to_json()));
-            Ok(Json::Obj(members).encode().into_bytes())
-        }
+        Ok(Ok(report)) => Ok(Json::Obj(vec![
+            ("schema".to_string(), RUN_SCHEMA.to_json()),
+            ("experiment".to_string(), key.experiment.to_json()),
+            ("scenario".to_string(), key.scenario.to_json()),
+            ("report".to_string(), report.to_json()),
+        ])
+        .encode()
+        .into_bytes()),
         Ok(Err(e)) => Err(format!("experiment `{}` failed: {e}", key.experiment)),
         Err(_) => Err(format!("experiment `{}` panicked", key.experiment)),
     }
@@ -1159,6 +1099,12 @@ mod tests {
         Json::parse(std::str::from_utf8(&resp.body).expect("utf8")).expect("well-formed body")
     }
 
+    /// A `/run` body for `echo_seed` at `seed`, every other scenario
+    /// member at its default.
+    fn seed_body(seed: u64) -> Vec<u8> {
+        format!("{{\"experiment\":\"echo_seed\",\"scenario\":{{\"seed\":{seed}}}}}").into_bytes()
+    }
+
     #[test]
     fn healthz_experiments_and_metrics_endpoints() {
         let server = test_server();
@@ -1194,14 +1140,20 @@ mod tests {
     fn run_computes_then_replays_bit_identically_from_cache() {
         let server = test_server();
         let addr = server.addr();
-        let body = br#"{"experiment":"echo_seed","seed":5}"#;
+        let body = &seed_body(5);
 
         let first = roundtrip(addr, "POST", "/run", body);
         assert_eq!(first.status, 200);
         assert_eq!(first.header("x-f2-cache"), Some("miss"));
         let doc = parse_body(&first);
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(RUN_SCHEMA));
-        assert_eq!(doc.get("seed").and_then(Json::as_f64), Some(5.0));
+        let scenario = doc.get("scenario").expect("scenario member");
+        assert_eq!(scenario.get("seed").and_then(Json::as_f64), Some(5.0));
+        assert_eq!(
+            scenario.get("fidelity").and_then(Json::as_str),
+            Some("quick")
+        );
+        assert!(doc.get("seed").is_none() && doc.get("quick").is_none());
         let kpi_seed = doc
             .get("report")
             .and_then(|r| r.get("kpis"))
@@ -1219,12 +1171,7 @@ mod tests {
         );
 
         // A different seed is a different key and a different body.
-        let other = roundtrip(
-            addr,
-            "POST",
-            "/run",
-            br#"{"experiment":"echo_seed","seed":6}"#,
-        );
+        let other = roundtrip(addr, "POST", "/run", &seed_body(6));
         assert_eq!(other.header("x-f2-cache"), Some("miss"));
         assert_ne!(other.body, first.body);
 
@@ -1234,6 +1181,18 @@ mod tests {
         assert_eq!(cache.get("hits").and_then(Json::as_f64), Some(1.0));
         assert_eq!(cache.get("misses").and_then(Json::as_f64), Some(2.0));
         assert_eq!(cache.get("entries").and_then(Json::as_f64), Some(2.0));
+
+        // An absent scenario block is the default scenario: one key.
+        let bare = roundtrip(addr, "POST", "/run", br#"{"experiment":"echo_seed"}"#);
+        let empty = roundtrip(
+            addr,
+            "POST",
+            "/run",
+            br#"{"experiment":"echo_seed","scenario":{}}"#,
+        );
+        assert_eq!(bare.header("x-f2-cache"), Some("miss"));
+        assert_eq!(empty.header("x-f2-cache"), Some("hit"));
+        assert_eq!(empty.body, bare.body);
         server.join().expect("clean join");
     }
 
@@ -1248,8 +1207,7 @@ mod tests {
         assert_eq!(first.header("x-f2-cache"), Some("miss"));
         let doc = parse_body(&first);
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(RUN_SCHEMA));
-        // Parameterized runs embed the canonical scenario, not the legacy
-        // seed/quick/threads members.
+        // The seed lives in the canonical scenario, never at top level.
         assert!(doc.get("seed").is_none());
         let scenario = doc.get("scenario").expect("scenario member");
         assert_eq!(scenario.get("seed").and_then(Json::as_f64), Some(5.0));
@@ -1279,43 +1237,11 @@ mod tests {
     }
 
     #[test]
-    fn param_free_scenario_and_legacy_members_share_one_cache_entry() {
-        let server = test_server();
-        let addr = server.addr();
-        // `{"seed":5}` as a scenario block defaults to quick fidelity on
-        // one thread — exactly the legacy members' configuration, so the
-        // two forms must hash to the same key and replay the same body.
-        let legacy = roundtrip(
-            addr,
-            "POST",
-            "/run",
-            br#"{"experiment":"echo_seed","seed":5}"#,
-        );
-        assert_eq!(legacy.header("x-f2-cache"), Some("miss"));
-        let scenario = roundtrip(
-            addr,
-            "POST",
-            "/run",
-            br#"{"experiment":"echo_seed","scenario":{"seed":5}}"#,
-        );
-        assert_eq!(scenario.header("x-f2-cache"), Some("hit"));
-        assert_eq!(scenario.body, legacy.body);
-        // And the legacy-shaped body survives: param-free quick runs keep
-        // the pre-scenario response members.
-        let doc = parse_body(&scenario);
-        assert_eq!(doc.get("seed").and_then(Json::as_f64), Some(5.0));
-        assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
-        assert!(doc.get("scenario").is_none());
-        server.join().expect("clean join");
-    }
-
-    #[test]
     fn keep_alive_serves_many_requests_on_one_connection() {
         let server = test_server();
         let mut client = connect(server.addr());
         for seed in 0..5u64 {
-            let body = format!("{{\"experiment\":\"echo_seed\",\"seed\":{seed}}}");
-            let resp = request(&mut client, "POST", "/run", body.as_bytes());
+            let resp = request(&mut client, "POST", "/run", &seed_body(seed));
             assert_eq!(resp.status, 200);
             assert_eq!(resp.header("connection"), Some("keep-alive"));
         }
@@ -1344,25 +1270,38 @@ mod tests {
             (b"[1,2,3]", 400),
             (br#"{"experiment":"echo_seed","sed":1}"#, 400),
             (br#"{"experiment":"no_such_experiment"}"#, 404),
-            (br#"{"seed":1}"#, 400),
-            (br#"{"experiment":"echo_seed","seed":-1}"#, 400),
-            (br#"{"experiment":"echo_seed","seed":1.5}"#, 400),
-            (br#"{"experiment":"echo_seed","quick":"yes"}"#, 400),
-            (br#"{"experiment":"echo_seed","threads":0}"#, 400),
-            (br#"{"experiment":"echo_seed","threads":100000}"#, 400),
-            // Scenario-block validation: legacy members are mutually
-            // exclusive with `scenario`, params must be declared by the
-            // experiment, and the block itself must be a valid scenario.
+            (br#"{"scenario":{"seed":1}}"#, 400),
+            // The run configuration lives only in the `scenario` block:
+            // top-level `seed`/`quick`/`threads` are unknown members.
+            (br#"{"experiment":"echo_seed","seed":1}"#, 400),
+            (br#"{"experiment":"echo_seed","quick":true}"#, 400),
+            (br#"{"experiment":"echo_seed","threads":1}"#, 400),
             (
                 br#"{"experiment":"echo_seed","scenario":{"seed":1},"seed":1}"#,
                 400,
             ),
+            // Scenario-block validation: the block must be a valid
+            // scenario, within the thread cap, with params the
+            // experiment declares.
+            (br#"{"experiment":"echo_seed","scenario":{"seed":-1}}"#, 400),
             (
-                br#"{"experiment":"echo_seed","scenario":{"params":{"nope":1}}}"#,
+                br#"{"experiment":"echo_seed","scenario":{"seed":1.5}}"#,
+                400,
+            ),
+            (
+                br#"{"experiment":"echo_seed","scenario":{"fidelity":"yes"}}"#,
+                400,
+            ),
+            (
+                br#"{"experiment":"echo_seed","scenario":{"threads":0}}"#,
                 400,
             ),
             (
                 br#"{"experiment":"echo_seed","scenario":{"threads":100000}}"#,
+                400,
+            ),
+            (
+                br#"{"experiment":"echo_seed","scenario":{"params":{"nope":1}}}"#,
                 400,
             ),
             (br#"{"experiment":"echo_seed","scenario":[1]}"#, 400),
@@ -1425,8 +1364,7 @@ mod tests {
                     let mut bodies = Vec::new();
                     for k in 0..6u64 {
                         let seed = k % 3; // identical across client threads
-                        let body = format!("{{\"experiment\":\"echo_seed\",\"seed\":{seed}}}");
-                        let resp = request(&mut client, "POST", "/run", body.as_bytes());
+                        let resp = request(&mut client, "POST", "/run", &seed_body(seed));
                         assert_eq!(resp.status, 200, "client {i}");
                         bodies.push((seed, resp.body));
                     }
@@ -1515,7 +1453,7 @@ mod tests {
     fn run_responses_echo_client_trace_ids_and_mint_missing_ones() {
         let server = test_server();
         let addr = server.addr();
-        let body = br#"{"experiment":"echo_seed","seed":9}"#;
+        let body = &seed_body(9);
 
         // A well-formed client id is echoed verbatim.
         let mut client = connect(addr);
@@ -1600,8 +1538,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut client = connect(addr);
                     for k in 0..PER_CLIENT {
-                        let body = format!("{{\"experiment\":\"echo_seed\",\"seed\":{}}}", k % 4);
-                        let resp = request(&mut client, "POST", "/run", body.as_bytes());
+                        let resp = request(&mut client, "POST", "/run", &seed_body(k % 4));
                         assert_eq!(resp.status, 200, "client {i}");
                         assert!(resp.header("x-f2-trace-id").is_some());
                     }
@@ -1681,13 +1618,7 @@ mod tests {
         let addr = server.addr();
 
         let mut client = connect(addr);
-        let ok = traced_request(
-            &mut client,
-            "POST",
-            "/run",
-            "log-ok",
-            br#"{"experiment":"echo_seed","seed":3}"#,
-        );
+        let ok = traced_request(&mut client, "POST", "/run", "log-ok", &seed_body(3));
         assert_eq!(ok.status, 200);
         let failed = traced_request(
             &mut client,
@@ -1750,13 +1681,12 @@ mod tests {
         let addr = server.addr();
         let mut client = connect(addr);
         for i in 0..5u64 {
-            let body = format!("{{\"experiment\":\"echo_seed\",\"seed\":{i}}}");
             let resp = traced_request(
                 &mut client,
                 "POST",
                 "/run",
                 &format!("recent-{i}"),
-                body.as_bytes(),
+                &seed_body(i),
             );
             assert_eq!(resp.status, 200);
         }
@@ -1786,14 +1716,42 @@ mod tests {
         server.join().expect("clean join");
     }
 
+    /// The members of a random JSON object over the names a `/run` body
+    /// and its scenario block hold, with values often of the wrong type or
+    /// out of range.
+    fn arbitrary_members(g: &mut crate::ptest::Gen, depth: u32) -> Vec<String> {
+        const NAMES: &str = "experiment scenario seed quick threads fidelity params scale";
+        const VALUES: &str = r#"null true 0 -1 1.5 3 1e300 1e20 "echo_seed" "full" "" [1]"#;
+        let pick = |g: &mut crate::ptest::Gen, words: &'static str| {
+            let words: Vec<&str> = words.split(' ').collect();
+            words[g.usize_in(0..words.len())]
+        };
+        g.vec(0..4, |g| {
+            let value = match g.usize_in(0..3) {
+                0 if depth > 0 => format!("{{{}}}", arbitrary_members(g, depth - 1).join(",")),
+                _ => pick(g, VALUES).to_string(),
+            };
+            format!("\"{}\":{value}", pick(g, NAMES))
+        })
+    }
+
     #[test]
-    fn json_u64_accepts_integers_only() {
-        assert_eq!(json_u64(&Json::Num(0.0)), Some(0));
-        assert_eq!(json_u64(&Json::Num(42.0)), Some(42));
-        assert_eq!(json_u64(&Json::Num(-1.0)), None);
-        assert_eq!(json_u64(&Json::Num(1.5)), None);
-        assert_eq!(json_u64(&Json::Num(f64::NAN)), None);
-        assert_eq!(json_u64(&Json::Num(2f64.powi(60))), None);
-        assert_eq!(json_u64(&Json::Str("7".to_string())), None);
+    fn run_body_parser_never_panics_and_only_answers_4xx() {
+        let mut registry = Registry::new();
+        registry.register(Box::new(EchoSeed));
+        let check = |body: &[u8]| {
+            if let Err(resp) = parse_run_body(body, &registry) {
+                assert!((400..500).contains(&resp.status), "status {}", resp.status);
+            }
+        };
+        crate::ptest::run("run_body_bytes_no_panic", |g| check(&g.bytes(0..256)));
+        crate::ptest::run("run_body_json_no_panic", |g| {
+            let mut members = arbitrary_members(g, 2);
+            // Mostly a known experiment, so scenario validation is reached.
+            if g.u8() % 4 != 0 {
+                members.insert(0, "\"experiment\":\"echo_seed\"".to_string());
+            }
+            check(format!("{{{}}}", members.join(",")).as_bytes());
+        });
     }
 }

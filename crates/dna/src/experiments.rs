@@ -336,10 +336,12 @@ pub fn experiments() -> Vec<Box<dyn Experiment>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f2_core::rng::DEFAULT_SEED;
+    use f2_core::scenario::{Fidelity, Scenario};
 
     #[test]
     fn dna_throughput_matches_published_model() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
         let report = DnaThroughput.run(&mut ctx).expect("runs");
         let tcups = report.kpi("accelerator/tcups").expect("kpi");
         assert!((tcups - 16.8).abs() < 0.5, "calibrated TCUPS (got {tcups})");
@@ -347,7 +349,8 @@ mod tests {
 
     #[test]
     fn dna_pipeline_recovers_on_clean_channels() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 2);
+        let mut ctx =
+            ExperimentCtx::quiet_scenario(&Scenario::new(DEFAULT_SEED, Fidelity::Quick, 2));
         let report = DnaPipeline.run(&mut ctx).expect("runs");
         assert_eq!(report.kpi("roundtrip/noiseless_recovered"), Some(1.0));
         assert_eq!(report.kpi("roundtrip/typical_recovered"), Some(1.0));

@@ -231,10 +231,11 @@ pub fn experiments() -> Vec<Box<dyn Experiment>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f2_core::scenario::Scenario;
 
     #[test]
     fn hetero_pipeline_emits_device_kpis() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
         let report = HeteroPipeline.run(&mut ctx).expect("runs");
         assert!(!report.kpis.is_empty());
         assert!(report
@@ -245,7 +246,7 @@ mod tests {
 
     #[test]
     fn storage_io_reproduces_ten_percent_claims() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
         let report = StorageIo.run(&mut ctx).expect("runs");
         // The §VI "up to 10%" claims are about computational storage
         // specifically (PMem sits much higher on the ladder).

@@ -517,10 +517,13 @@ pub fn experiments() -> Vec<Box<dyn Experiment>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f2_core::rng::DEFAULT_SEED;
+    use f2_core::scenario::{Fidelity, Scenario};
 
     #[test]
     fn imc_accuracy_preserves_pv_vs_open_loop_ordering() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 2);
+        let mut ctx =
+            ExperimentCtx::quiet_scenario(&Scenario::new(DEFAULT_SEED, Fidelity::Quick, 2));
         let report = ImcAccuracy.run(&mut ctx).expect("runs");
         let open = report.kpi("programming/open_loop_rms_pct").expect("kpi");
         let pv = report.kpi("programming/pv_1pct_rms_pct").expect("kpi");
@@ -529,7 +532,8 @@ mod tests {
 
     #[test]
     fn imc_energy_analog_beats_digital() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 2);
+        let mut ctx =
+            ExperimentCtx::quiet_scenario(&Scenario::new(DEFAULT_SEED, Fidelity::Quick, 2));
         let report = ImcEnergy.run(&mut ctx).expect("runs");
         assert!(report.kpi("mvm/analog_advantage").expect("kpi") > 1.0);
         // ADC RMSE shrinks with precision.

@@ -23,6 +23,7 @@ use std::path::PathBuf;
 
 use flagship2::core::experiment::{golden, ExperimentCtx};
 use flagship2::core::rng::DEFAULT_SEED;
+use flagship2::core::scenario::{Fidelity, Scenario};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"))
@@ -40,7 +41,8 @@ fn quick_mode_kpis_match_golden_snapshots() {
         // The snapshot fidelity: quick, quiet, default seed. Two threads
         // exercise the parallel sweeps, whose results are bit-identical at
         // any worker count.
-        let mut ctx = ExperimentCtx::quiet(DEFAULT_SEED, true, 2);
+        let mut ctx =
+            ExperimentCtx::quiet_scenario(&Scenario::new(DEFAULT_SEED, Fidelity::Quick, 2));
         let report = match exp.run(&mut ctx) {
             Ok(r) => r,
             Err(e) => {
