@@ -212,8 +212,9 @@ const COMMANDS: &[Cmd] = &[
         ("--require-experiments", "", "demand one span per registered experiment"),
         ("--require-workers", "", "demand per-worker executor spans"),
         ("--require-scf-bb", "", "demand the ISS block-cache counters\n\
-                                  (scf.bb.hits/misses/invalidations and\n\
-                                  the scf.bb.block_len histogram)"),
+                                  (scf.bb.hits/misses/invalidations/\n\
+                                  evictions and the scf.bb.block_len\n\
+                                  histogram)"),
     ] },
     Cmd { name: "bench", arg: "", summary: "run the curated hot-kernel suite", flags: &[
         ("--quick", "", "smaller sizes (baseline/CI configuration)"),
@@ -638,8 +639,9 @@ pub fn run(registry: &Registry, opts: &RunOptions) -> u8 {
 /// least one `exec.chunk_imbalance` gauge event. Every `exec.chunk_imbalance`
 /// gauge present must carry a finite value (non-finite values encode as JSON
 /// `null`). `require_scf_bb` demands the ISS block-cache series: the
-/// `scf.bb.hits`/`scf.bb.misses`/`scf.bb.invalidations` counters and the
-/// `scf.bb.block_len` histogram summary, all exported as `"ph":"C"` events.
+/// `scf.bb.hits`/`scf.bb.misses`/`scf.bb.invalidations`/`scf.bb.evictions`
+/// counters and the `scf.bb.block_len` histogram summary, all exported as
+/// `"ph":"C"` events.
 /// Returns the process exit code (0 valid, 1 invalid, 2 unreadable).
 pub fn check_trace(
     registry: &Registry,
@@ -732,6 +734,7 @@ pub fn check_trace(
             "scf.bb.hits",
             "scf.bb.misses",
             "scf.bb.invalidations",
+            "scf.bb.evictions",
             "scf.bb.block_len",
         ] {
             if !counter_names.iter().any(|n| n == want) {
@@ -976,7 +979,8 @@ struct BenchDoc {
 }
 
 /// Loads and validates a bench report; the error carries the exit code
-/// (2 unreadable, 1 malformed) and the message to print.
+/// (2 unreadable, 1 malformed) and the message to print. A report without
+/// its `quick`, `samples` or `threads` member is malformed.
 fn load_bench_doc(path: &std::path::Path) -> Result<BenchDoc, (u8, String)> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| (2, format!("cannot read {}: {e}", path.display())))?;
@@ -1030,16 +1034,22 @@ fn load_bench_doc(path: &std::path::Path) -> Result<BenchDoc, (u8, String)> {
         }
         p10_ns.push((label.to_string(), p10));
     }
+    // The run configuration is part of the report: p10s mean nothing
+    // without it, so a missing member is an error, never a default.
+    let missing = |member| (1, format!("{}: missing `{member}`", path.display()));
+    let count = |member| {
+        doc.get(member)
+            .and_then(Json::as_f64)
+            .map(|v| v as usize)
+            .ok_or_else(|| missing(member))
+    };
     Ok(BenchDoc {
-        quick: doc.get("quick").and_then(Json::as_bool).unwrap_or(false),
-        samples: doc
-            .get("samples")
-            .and_then(Json::as_f64)
-            .map_or_else(f2_core::benchkit::samples_from_env, |v| v as usize),
-        threads: doc
-            .get("threads")
-            .and_then(Json::as_f64)
-            .map_or_else(f2_core::exec::num_threads, |v| v as usize),
+        quick: doc
+            .get("quick")
+            .and_then(Json::as_bool)
+            .ok_or_else(|| missing("quick"))?,
+        samples: count("samples")?,
+        threads: count("threads")?,
         p10_ns,
         max_p10_ns,
     })
@@ -1612,39 +1622,46 @@ mod tests {
     #[test]
     fn check_trace_enforces_scf_bb_series() {
         let registry = Registry::new();
-        let dir = std::env::temp_dir();
-        let path = dir.join("f2-check-trace-scf-bb.json");
-        std::fs::write(
-            &path,
-            "{\"traceEvents\":[{\"name\":\"other\",\"ph\":\"X\",\
-             \"ts\":0,\"dur\":1,\"pid\":1,\"tid\":1},\
-             {\"name\":\"scf.bb.hits\",\"ph\":\"C\",\"ts\":1,\"pid\":1,\
-             \"tid\":0,\"args\":{\"value\":7}},\
-             {\"name\":\"scf.bb.misses\",\"ph\":\"C\",\"ts\":1,\"pid\":1,\
-             \"tid\":0,\"args\":{\"value\":3}},\
-             {\"name\":\"scf.bb.invalidations\",\"ph\":\"C\",\"ts\":1,\
-             \"pid\":1,\"tid\":0,\"args\":{\"value\":0}},\
-             {\"name\":\"scf.bb.block_len\",\"ph\":\"C\",\"ts\":1,\"pid\":1,\
-             \"tid\":0,\"args\":{\"count\":3,\"p50\":4,\"p90\":6,\"p99\":6,\
-             \"max\":6}}]}",
-        )
-        .expect("writable tmp");
+        let path = std::env::temp_dir().join("f2-check-trace-scf-bb.json");
+        let series = [
+            ("scf.bb.hits", "{\"value\":7}"),
+            ("scf.bb.misses", "{\"value\":3}"),
+            ("scf.bb.invalidations", "{\"value\":0}"),
+            ("scf.bb.evictions", "{\"value\":0}"),
+            (
+                "scf.bb.block_len",
+                "{\"count\":3,\"p50\":4,\"p90\":6,\"p99\":6,\"max\":6}",
+            ),
+        ];
+        // One unrelated span plus every series but the `skip`th.
+        let trace = |skip: Option<usize>| {
+            let counters: String = series
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| Some(i) != skip)
+                .map(|(_, (name, args))| {
+                    format!(
+                        ",{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":1,\"pid\":1,\
+                         \"tid\":0,\"args\":{args}}}"
+                    )
+                })
+                .collect();
+            format!(
+                "{{\"traceEvents\":[{{\"name\":\"other\",\"ph\":\"X\",\"ts\":0,\
+                 \"dur\":1,\"pid\":1,\"tid\":1}}{counters}]}}"
+            )
+        };
+        std::fs::write(&path, trace(None)).expect("writable tmp");
         assert_eq!(check_trace(&registry, &path, false, false, true), 0);
-        // Dropping any one series fails the strict flag: rewrite without
-        // the histogram summary.
-        std::fs::write(
-            &path,
-            "{\"traceEvents\":[{\"name\":\"other\",\"ph\":\"X\",\
-             \"ts\":0,\"dur\":1,\"pid\":1,\"tid\":1},\
-             {\"name\":\"scf.bb.hits\",\"ph\":\"C\",\"ts\":1,\"pid\":1,\
-             \"tid\":0,\"args\":{\"value\":7}},\
-             {\"name\":\"scf.bb.misses\",\"ph\":\"C\",\"ts\":1,\"pid\":1,\
-             \"tid\":0,\"args\":{\"value\":3}},\
-             {\"name\":\"scf.bb.invalidations\",\"ph\":\"C\",\"ts\":1,\
-             \"pid\":1,\"tid\":0,\"args\":{\"value\":0}}]}",
-        )
-        .expect("writable tmp");
-        assert_eq!(check_trace(&registry, &path, false, false, true), 1);
+        // Dropping any one series fails the strict flag.
+        for (skip, (name, _)) in series.iter().enumerate() {
+            std::fs::write(&path, trace(Some(skip))).expect("writable tmp");
+            assert_eq!(
+                check_trace(&registry, &path, false, false, true),
+                1,
+                "without {name}"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1990,6 +2007,38 @@ mod tests {
         for p in [&base, &cur] {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    /// Writes a one-label report without the `member` configuration token
+    /// and demands that loading it fails naming the member, and that the
+    /// gate exits 1 on it as baseline and as `--current` alike.
+    fn assert_rejected_without(member: &str, token: &str) {
+        let path = std::env::temp_dir().join(format!("f2-check-bench-no-{member}.json"));
+        let doc = bench_doc(&[("g/a", 100)]);
+        assert!(doc.contains(token));
+        std::fs::write(&path, doc.replacen(token, "", 1)).expect("writable tmp");
+        let Err((code, msg)) = load_bench_doc(&path) else {
+            panic!("a report without `{member}` must be rejected");
+        };
+        assert_eq!(code, 1);
+        assert!(msg.contains(&format!("missing `{member}`")), "{msg}");
+        assert_eq!(check_bench(&path, Some(&path), 50.0), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn check_bench_rejects_a_report_without_quick() {
+        assert_rejected_without("quick", "\"quick\":true,");
+    }
+
+    #[test]
+    fn check_bench_rejects_a_report_without_samples() {
+        assert_rejected_without("samples", "\"samples\":3,");
+    }
+
+    #[test]
+    fn check_bench_rejects_a_report_without_threads() {
+        assert_rejected_without("threads", "\"threads\":1,");
     }
 
     #[test]

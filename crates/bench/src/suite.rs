@@ -337,6 +337,8 @@ fn bench_core(h: &mut Harness, quick: bool, threads: usize) {
 /// round-trips; the label names the service-level quantity it stands in
 /// for). `throughput` times a burst of [`BURST`] keep-alive requests, so
 /// its per-iteration cost is the inverse of sustained request throughput.
+/// The server's batch pool runs `cfg.threads` workers, like the pool-based
+/// kernels.
 fn bench_serve(h: &mut Harness, cfg: &SuiteConfig) {
     /// Requests per `serve/throughput` iteration.
     const BURST: usize = 32;
@@ -354,7 +356,7 @@ fn bench_serve(h: &mut Harness, cfg: &SuiteConfig) {
     let server = serve::start(
         flagship2::experiments::registry(),
         serve::ServeConfig {
-            threads: 2,
+            threads: cfg.threads.max(1),
             shards: 8,
             ..serve::ServeConfig::default()
         },

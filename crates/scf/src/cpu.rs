@@ -12,9 +12,12 @@
 //! execution [`Cpu`] decodes the straight-line run starting at the current
 //! PC — up to and including the next jump/branch/`ecall`/`ebreak`/CSR
 //! instruction, capped at [`BB_MAX_LEN`] — into a [`BasicBlock`] held in a
-//! direct-mapped cache keyed by entry PC, then executes whole blocks with
-//! no per-step fetch or decode. Execution stays bit-identical to the plain
-//! interpreter ([`Cpu::step`]):
+//! direct-mapped table keyed by entry PC, then executes whole blocks with
+//! no per-step fetch or decode. The table starts at [`BB_CACHE_SLOTS`]
+//! slots (1 KiB of code) and grows with the hot code: when a new block's
+//! slot holds another block, the table doubles instead of evicting, up to
+//! [`BB_CACHE_MAX_SLOTS`] (64 KiB of code). Execution stays bit-identical
+//! to the plain interpreter ([`Cpu::step`]):
 //!
 //! * every instruction updates the PC and the `cycle`/`instret` counters
 //!   individually, so mid-block CSR reads, faults and budget stops observe
@@ -24,9 +27,17 @@
 //!   that block — a store into the *currently running* block additionally
 //!   aborts it after the current instruction, so the modified tail is
 //!   recompiled from the freshly written memory (self-modifying code is
-//!   exact);
+//!   exact). A block spans at most [`BB_MAX_LEN`] words, so a store probes
+//!   only the slots of the entry PCs up to that far below it, whatever the
+//!   table size;
 //! * `run` drops all blocks on entry, because the caller may have rewritten
 //!   memory since the previous call.
+//!
+//! Dropped tables hand their blocks to a thread-local spare pool that the
+//! compiler builds new blocks in, so neither a core's teardown nor its
+//! compiles churn the allocator.
+
+use std::cell::RefCell;
 
 use crate::error::ScfError;
 use crate::isa::{decode, AluOp, BranchCond, CsrOp, Instr, MemWidth, MulDivOp};
@@ -80,11 +91,52 @@ impl Default for CycleModel {
     }
 }
 
-/// Number of direct-mapped block-cache slots (must be a power of two).
+/// Initial number of direct-mapped block-table slots (a power of two),
+/// covering 1 KiB of code. A new [`Cpu`] allocates only these, so creating
+/// a core and running small programs stays cheap.
 const BB_CACHE_SLOTS: usize = 256;
+
+/// Slot count at which the block table stops doubling: 64 KiB of code,
+/// the whole memory of `FlatMemory::with_program` and of the multicore
+/// private memories, at 128 KiB of table per core. Past the cap a new
+/// block evicts the one in its slot.
+const BB_CACHE_MAX_SLOTS: usize = 16384;
 
 /// Maximum instructions compiled into one basic block.
 const BB_MAX_LEN: usize = 64;
+
+/// Most spare blocks a thread keeps for reuse (see [`SPARE_BLOCKS`]):
+/// the blocks of a table grown to 4096 slots, at most ~3.3 MiB of buffers
+/// (a block's buffers never exceed [`BB_MAX_LEN`] entries).
+const SPARE_BLOCKS_CAP: usize = 4096;
+
+thread_local! {
+    /// Blocks of cleared and dropped caches, reused by [`compile_block`].
+    /// A core that cached thousands of blocks would otherwise free them
+    /// all at once, and the allocator defers the bookkeeping of that many
+    /// small frees to a later, unrelated allocation: the next core's
+    /// table in [`Cpu::new`]. Recycled blocks keep their buffers, so
+    /// compiling into one allocates nothing. The pool keeps the boxes
+    /// themselves, so recycling a block frees nothing.
+    #[allow(clippy::vec_box)]
+    static SPARE_BLOCKS: RefCell<Vec<Box<BasicBlock>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Hands `blocks` to the thread's spare pool, dropping those past its cap.
+/// Returns false, having taken nothing, when the pool is already gone
+/// (thread teardown).
+fn recycle(blocks: impl Iterator<Item = Box<BasicBlock>>) -> bool {
+    SPARE_BLOCKS
+        .try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            for block in blocks {
+                if spare.len() < SPARE_BLOCKS_CAP {
+                    spare.push(block);
+                }
+            }
+        })
+        .is_ok()
+}
 
 /// A pre-decoded straight-line run of instructions.
 ///
@@ -93,7 +145,7 @@ const BB_MAX_LEN: usize = 64;
 /// very word the block was built from, and stores into `[entry_pc, end_pc)`
 /// invalidate the block, so a block only ever executes against the memory
 /// image it was compiled from.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct BasicBlock {
     entry_pc: u32,
     /// Exclusive end of the fetched byte range.
@@ -150,36 +202,38 @@ fn overlaps(addr: u32, len: u32, lo: u32, hi: u32) -> bool {
 /// not even the first word compiles, and propagates [`ScfError::Yield`]
 /// when the first fetch hits a partitioned-stepping boundary.
 #[inline(never)] // cold next to the dispatch loop; keeps its Vec frames out of the hot path
-fn compile_block(pc: u32, mem: &mut impl Memory, m: &CycleModel) -> Result<Option<BasicBlock>> {
-    let mut words = Vec::new();
-    let mut instrs = Vec::new();
-    let mut worst_cost = 0u64;
+fn compile_block(
+    pc: u32,
+    mem: &mut impl Memory,
+    m: &CycleModel,
+) -> Result<Option<Box<BasicBlock>>> {
+    let mut block: Box<BasicBlock> = SPARE_BLOCKS
+        .try_with(|spare| spare.borrow_mut().pop())
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    block.entry_pc = pc;
+    block.words.clear();
+    block.instrs.clear();
+    block.worst_cost = 0;
     let mut cur = pc;
     loop {
         let word = match mem.load_u32(cur) {
             Ok(word) => word,
-            Err(ScfError::Yield) if instrs.is_empty() => return Err(ScfError::Yield),
+            Err(ScfError::Yield) if block.instrs.is_empty() => return Err(ScfError::Yield),
             Err(_) => break,
         };
         let Ok(instr) = decode(word, cur) else { break };
-        words.push(word);
-        instrs.push(instr);
-        worst_cost = worst_cost.saturating_add(worst_case_cost(instr, m));
+        block.words.push(word);
+        block.instrs.push(instr);
+        block.worst_cost = block.worst_cost.saturating_add(worst_case_cost(instr, m));
         cur = cur.wrapping_add(4);
-        if ends_block(instr) || instrs.len() >= BB_MAX_LEN || cur < pc {
+        if ends_block(instr) || block.instrs.len() >= BB_MAX_LEN || cur < pc {
             break;
         }
     }
-    if instrs.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some(BasicBlock {
-        entry_pc: pc,
-        end_pc: cur,
-        words,
-        instrs,
-        worst_cost,
-    }))
+    block.end_pc = cur;
+    Ok((!block.instrs.is_empty()).then_some(block))
 }
 
 /// Why [`Cpu::exec_blocks`] stopped.
@@ -281,6 +335,9 @@ pub struct Cpu {
     hart_id: u32,
     cycle_counter: u64,
     instret_counter: u64,
+    /// Direct-mapped block table: a block entered at `pc` lives in slot
+    /// [`Cpu::slot_of`]`(pc)`. Its length is a power of two from
+    /// [`BB_CACHE_SLOTS`] to [`BB_CACHE_MAX_SLOTS`].
     blocks: Vec<Option<Box<BasicBlock>>>,
     /// Conservative cover of every cached block's byte range; stores outside
     /// `[code_lo, code_hi)` cannot touch compiled code. `lo > hi` = empty.
@@ -290,12 +347,13 @@ pub struct Cpu {
     bb_hits: u64,
     bb_misses: u64,
     bb_invalidations: u64,
+    bb_evictions: u64,
     bb_lens: Vec<u32>,
     /// `(slot, pc)` continuation hint left by a boundary yield: the next
     /// [`Cpu::exec_blocks`] call re-enters the suspended block at `pc`
     /// (the instruction after the replayed one) without a dispatch probe.
     /// Purely an optimization — it is revalidated against the cache before
-    /// use and cleared whenever cached code is dropped.
+    /// use and cleared whenever cached code is dropped or moved.
     resume: Option<(usize, u32)>,
 }
 
@@ -311,6 +369,13 @@ impl PartialEq for Cpu {
 }
 
 impl Eq for Cpu {}
+
+impl Drop for Cpu {
+    /// Hands the cached blocks to the spare pool instead of freeing them.
+    fn drop(&mut self) {
+        recycle(std::mem::take(&mut self.blocks).into_iter().flatten());
+    }
+}
 
 impl Cpu {
     /// Creates a core with all registers zero and the PC at `reset_pc`.
@@ -328,6 +393,7 @@ impl Cpu {
             bb_hits: 0,
             bb_misses: 0,
             bb_invalidations: 0,
+            bb_evictions: 0,
             bb_lens: Vec::new(),
             resume: None,
         }
@@ -380,10 +446,12 @@ impl Cpu {
         self.pc
     }
 
-    /// Drops every compiled block (and the cached-code range cover).
+    /// Drops every compiled block (and the cached-code range cover),
+    /// handing the blocks to the thread's spare pool. The table keeps its
+    /// size.
     pub(crate) fn clear_block_cache(&mut self) {
-        for slot in &mut self.blocks {
-            *slot = None;
+        if !recycle(self.blocks.iter_mut().filter_map(Option::take)) {
+            self.blocks.fill(None);
         }
         self.code_lo = u32::MAX;
         self.code_hi = 0;
@@ -400,9 +468,11 @@ impl Cpu {
         f2_core::trace::counter("scf.bb.hits", self.bb_hits);
         f2_core::trace::counter("scf.bb.misses", self.bb_misses);
         f2_core::trace::counter("scf.bb.invalidations", self.bb_invalidations);
+        f2_core::trace::counter("scf.bb.evictions", self.bb_evictions);
         self.bb_hits = 0;
         self.bb_misses = 0;
         self.bb_invalidations = 0;
+        self.bb_evictions = 0;
         for len in self.bb_lens.drain(..) {
             f2_core::trace::observe("scf.bb.block_len", f64::from(len));
         }
@@ -600,7 +670,7 @@ impl Cpu {
                 self.bb_hits += 1;
                 hit
             } else {
-                let slot = ((hot.pc >> 2) as usize) & (BB_CACHE_SLOTS - 1);
+                let mut slot = self.slot_of(hot.pc);
                 let cached = matches!(&self.blocks[slot], Some(b) if b.entry_pc == hot.pc);
                 if cached {
                     self.bb_hits += 1;
@@ -635,7 +705,7 @@ impl Cpu {
                             self.bb_lens.push(block.instrs.len() as u32);
                             self.code_lo = self.code_lo.min(block.entry_pc);
                             self.code_hi = self.code_hi.max(block.end_pc);
-                            self.blocks[slot] = Some(Box::new(block));
+                            slot = self.install(block);
                         }
                     }
                 }
@@ -756,14 +826,61 @@ impl Cpu {
         exit
     }
 
-    /// Drops every cached block overlapping the stored byte range. The
+    /// Table slot of the block entered at `pc`.
+    fn slot_of(&self, pc: u32) -> usize {
+        (pc >> 2) as usize & (self.blocks.len() - 1)
+    }
+
+    /// Caches a freshly compiled block and returns its slot. While that
+    /// slot holds another block the table doubles, up to
+    /// [`BB_CACHE_MAX_SLOTS`]; at the cap the occupant is evicted. Called
+    /// on the miss path only, never while a block is out of its slot.
+    fn install(&mut self, block: Box<BasicBlock>) -> usize {
+        let mut slot = self.slot_of(block.entry_pc);
+        while self.blocks[slot].is_some() {
+            if self.blocks.len() == BB_CACHE_MAX_SLOTS {
+                self.bb_evictions += 1;
+                break;
+            }
+            self.grow();
+            slot = self.slot_of(block.entry_pc);
+        }
+        self.blocks[slot] = Some(block);
+        slot
+    }
+
+    /// Doubles the block table. The block in slot `i` of `n` moves to
+    /// `i + n` when its entry word index has bit `log2 n` set, so no two
+    /// blocks collide and nothing recompiles. Slots change, so the resume
+    /// hint is dropped.
+    fn grow(&mut self) {
+        let n = self.blocks.len();
+        self.blocks.resize_with(2 * n, || None);
+        for i in 0..n {
+            if let Some(b) = &self.blocks[i] {
+                if (b.entry_pc >> 2) as usize & n != 0 {
+                    self.blocks.swap(i, i + n);
+                }
+            }
+        }
+        self.resume = None;
+    }
+
+    /// Drops every cached block overlapping the stored byte range. A block
+    /// spans at most [`BB_MAX_LEN`] words, so only blocks entered in
+    /// `(addr - 4·BB_MAX_LEN, addr + len)` can overlap it: probing the
+    /// slots of those entry words finds exactly the blocks a scan of the
+    /// whole table would, at a cost independent of the table size. The
     /// `[code_lo, code_hi)` cover stays conservative (it never shrinks
-    /// here), which only costs a redundant scan on a later nearby store.
+    /// here), which only costs a redundant probe on a later nearby store.
     fn invalidate_overlapping(&mut self, addr: u32, len: u32) {
-        for slot in &mut self.blocks {
-            if let Some(block) = slot {
+        let first = (u64::from(addr) + 1).saturating_sub(4 * BB_MAX_LEN as u64) >> 2;
+        let last = (u64::from(addr) + u64::from(len) - 1) >> 2;
+        for word in first..=last {
+            let slot = word as usize & (self.blocks.len() - 1);
+            if let Some(block) = &self.blocks[slot] {
                 if overlaps(addr, len, block.entry_pc, block.end_pc) {
-                    *slot = None;
+                    self.blocks[slot] = None;
                     self.bb_invalidations += 1;
                 }
             }
@@ -1289,6 +1406,104 @@ mod tests {
         assert_eq!(cpu.bb_misses, 3);
         assert_eq!(cpu.bb_hits, 8);
         assert_eq!(cpu.reg(1), 55);
+    }
+
+    /// Runs `mem`'s program from pc 0 through the block engine, keeping the
+    /// cache statistics (`run` would flush them).
+    fn exec_to_halt(mem: &mut FlatMemory) -> Cpu {
+        let mut cpu = Cpu::new(0);
+        let (mut instructions, mut cycles) = (0, 0);
+        let exit = cpu.exec_blocks(mem, u64::MAX, u64::MAX, &mut instructions, &mut cycles);
+        assert!(matches!(exit, BlockExit::Halt { .. }), "{exit:?}");
+        cpu
+    }
+
+    #[test]
+    fn table_grows_until_the_hot_code_fits() {
+        // Three passes over a 4 KiB loop body: 256 segments of three addis
+        // and a `jal` to the next, four times what the initial 256 slots
+        // cover. The table doubles instead of evicting, so each of the 260
+        // blocks (entry, segments, tail, back jump, ecall) compiles once.
+        const SEGMENTS: usize = 256;
+        let mut program = vec![asm::addi(9, 0, 3), asm::jal(0, 4)];
+        for _ in 0..SEGMENTS {
+            program.extend([
+                asm::addi(1, 1, 1),
+                asm::addi(2, 2, 2),
+                asm::addi(3, 3, 3),
+                asm::jal(0, 4),
+            ]);
+        }
+        let back = -4 * (program.len() as i32); // from the `jal` below to word 2
+        program.extend([
+            asm::addi(9, 9, -1),
+            asm::beq(9, 0, 8),
+            asm::jal(0, back),
+            asm::ecall(),
+        ]);
+        let cpu = exec_to_halt(&mut FlatMemory::with_program(0, &program));
+        assert_eq!(cpu.reg(1), 3 * SEGMENTS as u32);
+        assert_eq!(cpu.bb_misses, SEGMENTS as u64 + 4);
+        assert_eq!(cpu.bb_evictions, 0);
+        assert_eq!(cpu.blocks.len(), 2048);
+    }
+
+    #[test]
+    fn stores_invalidate_blocks_that_a_growth_moved() {
+        // Every pass stores x8 into word 262, three words into a block
+        // entered 1 KiB past the loop top, then flips x8 between
+        // `addi x3, x3, 1` and `addi x2, x3, 1`. The two blocks share a
+        // slot of the initial table, so pass 2 grows the table and moves
+        // the far block; the stores of passes 2 and 3 must still find and
+        // drop it, or a stale `addi` runs.
+        let patch = asm::addi(3, 3, 1); // low 12 bits below 0x800
+        let mut program = vec![
+            asm::addi(9, 0, 3),
+            asm::lui(8, (patch >> 12) as i32),
+            asm::addi(8, 8, (patch & 0xFFF) as i32),
+            asm::sw(8, 0, 4 * 262), // loop top: word 3
+            asm::xori(8, 8, 0x80),  // flips the patch's rd: x3 <-> x2
+            asm::jal(0, 4 * (259 - 5)),
+        ];
+        program.resize(259, asm::nop());
+        program.extend([
+            asm::addi(1, 1, 1),
+            asm::nop(),
+            asm::nop(),
+            asm::nop(), // word 262, patched before each execution
+            asm::addi(9, 9, -1),
+            asm::bne(9, 0, 4 * (3 - 264)),
+            asm::ecall(),
+        ]);
+        let cpu = exec_to_halt(&mut FlatMemory::with_program(0, &program));
+        assert_eq!((cpu.reg(1), cpu.reg(2), cpu.reg(3)), (3, 2, 2));
+        assert_eq!(cpu.blocks.len(), 2 * BB_CACHE_SLOTS);
+        assert_eq!(cpu.bb_invalidations, 2);
+    }
+
+    #[test]
+    fn table_stops_doubling_at_the_cap() {
+        // Blocks entered at 0 and at 64 KiB share a slot at every size up
+        // to the cap: the table grows to the cap once, then the later block
+        // evicts the earlier one. The loop itself re-enters at 4, so the
+        // evicted entry block is never needed again.
+        let far = 64 * 1024;
+        let mut mem = FlatMemory::new(2 * far as usize);
+        mem.load_program(0, &[asm::addi(9, 0, 3), asm::jal(0, far - 4)]);
+        mem.load_program(
+            far as u32,
+            &[
+                asm::addi(9, 9, -1),
+                asm::beq(9, 0, 8),
+                asm::jal(0, -far - 4),
+                asm::ecall(),
+            ],
+        );
+        let cpu = exec_to_halt(&mut mem);
+        assert_eq!(cpu.reg(9), 0);
+        assert_eq!(cpu.blocks.len(), BB_CACHE_MAX_SLOTS);
+        assert_eq!(cpu.bb_evictions, 1);
+        assert_eq!(cpu.bb_misses, 5);
     }
 
     #[test]

@@ -4,28 +4,71 @@ use f2_scf::cpu::Cpu;
 use f2_scf::isa::{asm, decode};
 use f2_scf::memory::{FlatMemory, Memory};
 
+/// Loads an arbitrary 32-bit constant into `rd`: `lui` sets bits 31:12
+/// and `addi` adds the sign-extended low 12 (bit 11 carried into the
+/// upper part).
+fn load_const(rd: u8, v: u32) -> [u32; 2] {
+    let low = v & 0xFFF;
+    let high = (v >> 12).wrapping_add((low >> 11) & 1) as i32;
+    [
+        asm::lui(rd, high),
+        asm::addi(rd, rd, ((low as i32) << 20) >> 20),
+    ]
+}
+
 /// Runs a 2-operand program: x1 = a; x2 = b; x3 = op(x1, x2); ecall.
 fn run_binop(build: impl Fn(u8, u8, u8) -> u32, a: u32, b: u32) -> u32 {
-    // Load arbitrary 32-bit constants via lui+ori pairs.
-    let load = |rd: u8, v: u32| {
-        // lui loads bits 31:12; ori the low 12 (positive immediate only:
-        // adjust with the standard +bit11 carry trick).
-        let low = v & 0xFFF;
-        let high = (v >> 12).wrapping_add((low >> 11) & 1) as i32;
-        [
-            asm::lui(rd, high),
-            asm::addi(rd, rd, ((low as i32) << 20) >> 20),
-        ]
-    };
     let mut program = Vec::new();
-    program.extend(load(1, a));
-    program.extend(load(2, b));
+    program.extend(load_const(1, a));
+    program.extend(load_const(2, b));
     program.push(build(3, 1, 2));
     program.push(asm::ecall());
     let mut mem = FlatMemory::with_program(0, &program);
     let mut cpu = Cpu::new(0);
     cpu.run(&mut mem, 100).expect("straight-line program halts");
     cpu.reg(3)
+}
+
+/// Word offsets of a `len`-word loop body that starts at word `top`.
+/// Half the cases pack it; the other half spread it over more than the
+/// 1 KiB a fresh hart's 256-slot block table covers: the body is cut into
+/// segments joined by a `jal` over `nop` padding, and the first cut puts
+/// the next segment exactly 256 words after `top`. That segment's block
+/// then shares a slot with the loop top, so the table doubles mid-run and
+/// moves it; a second cut adds random padding. The code stays below the
+/// 2 KiB an `x0`-based store reaches.
+fn body_layout(g: &mut f2_core::ptest::Gen, top: usize, len: usize) -> Vec<usize> {
+    let mut at: Vec<usize> = (top..top + len).collect();
+    if g.usize_in(0..2) == 1 {
+        let first = g.usize_in(1..len);
+        let second = g.usize_in(first..len);
+        let pad = g.usize_in(1..128);
+        for (i, w) in at.iter_mut().enumerate().skip(first) {
+            *w += 256 - first + if i > second { pad } else { 0 };
+        }
+    }
+    at
+}
+
+/// Assembles `prologue`, the loop `body` at the word offsets `at` (a `jal`
+/// to the next body word and `nop`s bridge every gap), and the loop tail
+/// `addi x9, x9, -1; bne x9, x0, <top>; ecall`.
+fn assemble(prologue: &[u32], body: &[u32], at: &[usize]) -> Vec<u32> {
+    let top = prologue.len();
+    let mut program = prologue.to_vec();
+    program.resize(at.last().map_or(top, |w| w + 1), asm::nop());
+    for (i, (&w, &word)) in at.iter().zip(body).enumerate() {
+        program[w] = word;
+        if let Some(&next) = at.get(i + 1) {
+            if next > w + 1 {
+                program[w + 1] = asm::jal(0, 4 * (next - w - 1) as i32);
+            }
+        }
+    }
+    program.push(asm::addi(9, 9, -1));
+    program.push(asm::bne(9, 0, -4 * (program.len() - top) as i32));
+    program.push(asm::ecall());
+    program
 }
 
 f2_core::ptest! {
@@ -108,39 +151,53 @@ f2_core::ptest! {
     /// afresh every step (a new hart per step, its architectural state
     /// carried over by hand) — instruction for instruction, cycle for
     /// cycle. The loop body includes stores into its own instruction words,
-    /// so later iterations re-execute blocks the first pass has patched:
-    /// the invalidation rule, not just cold decode, is under test.
+    /// so later iterations re-execute blocks an earlier pass has patched:
+    /// the invalidation rule, not just cold decode, is under test. Spread
+    /// bodies (see [`body_layout`]) grow the block table mid-run, so those
+    /// stores also patch blocks that a growth moved.
     fn block_compiler_invisible(g) {
         let len = g.usize_in(4..32);
-        // addi x9, x0, passes; loop: <len random body words>; addi x9,-1;
-        // bne x9, x0, loop; ecall. Body registers stay below x8, so the x9
-        // countdown survives — though a patched-in garbage word may fault
-        // or a forward branch may skip the decrement; both sides must then
-        // fail identically (fault or budget timeout).
+        // x9 = passes; x8 = a valid instruction word; loop: xori x8, 0x80;
+        // <len - 1 random body words>; addi x9,-1; bne x9, x0, loop; ecall.
+        // Body registers stay below x8, so the x9 countdown survives —
+        // though a patched-in garbage word may fault or a forward branch
+        // may skip the decrement; both sides must then fail identically
+        // (fault or budget timeout). Patches with x8 keep the program
+        // running, and the `xori` flips their destination register every
+        // pass, so each pass patches in a different word and a stale block
+        // would show. The data window at DATA lies beyond the code of a
+        // spread body.
+        const DATA: i32 = 0x700;
         let passes = g.i32_in(2..4);
-        let mut program: Vec<u32> = vec![asm::addi(9, 0, passes)];
-        for _ in 0..len {
+        let patch = asm::addi(1 + g.u8() % 7, 1 + g.u8() % 7, g.i32_in(-16..16));
+        let mut prologue = vec![asm::addi(9, 0, passes)];
+        prologue.extend(load_const(8, patch));
+        let at = body_layout(g, prologue.len(), len);
+        let mut body = vec![asm::xori(8, 8, 0x80)];
+        for _ in 1..len {
             let rd = 1 + (g.u8() % 7);
             let rs1 = g.u8() % 8;
             let rs2 = g.u8() % 8;
-            let word = match g.usize_in(0..8) {
+            // Self-modifying store into a body word, so an already-executed
+            // block gets patched.
+            let target = at[g.usize_in(1..len)];
+            let smc = |src| asm::sw(src, 0, 4 * target as i32);
+            let word = match g.usize_in(0..9) {
                 0 => asm::add(rd, rs1, rs2),
                 1 => asm::mul(rd, rs1, rs2),
                 2 => asm::sltu(rd, rs1, rs2),
-                3 => asm::sw(rs2, 0, 0x400 + 4 * (rs1 as i32 % 8)),
-                4 => asm::lw(rd, 0, 0x400 + 4 * (rs2 as i32 % 8)),
-                // Self-modifying store into the loop body itself (words
-                // 1..=len), so an already-executed block gets patched.
-                5 => asm::sw(rs2, 0, 4 * (1 + rd as i32 % len as i32)),
+                3 => asm::sw(rs2, 0, DATA + 4 * (rs1 as i32 % 8)),
+                4 => asm::lw(rd, 0, DATA + 4 * (rs2 as i32 % 8)),
+                // One patch in four writes a body register's value,
+                // typically a garbage word.
+                5 | 6 => smc(if g.usize_in(0..4) == 0 { rs2 } else { 8 }),
                 // Forward branch over the next instruction.
-                6 => asm::bne(rs1, rs2, 8),
+                7 => asm::bne(rs1, rs2, 8),
                 _ => asm::addi(rd, rs1, g.i32_in(-16..16)),
             };
-            program.push(word);
+            body.push(word);
         }
-        program.push(asm::addi(9, 9, -1));
-        program.push(asm::bne(9, 0, -(4 * (len as i32 + 1))));
-        program.push(asm::ecall());
+        let program = assemble(&prologue, &body, &at);
         let budget = 4 * (passes as u64 + 1) * program.len() as u64 + 16;
 
         // Cached run: one hart end to end.
@@ -182,7 +239,7 @@ f2_core::ptest! {
         for i in 0..32u8 {
             assert_eq!(cached.reg(i), regs[i as usize], "register x{i} diverged");
         }
-        for addr in (0x400..0x420).step_by(4) {
+        for addr in (DATA as u32..DATA as u32 + 32).step_by(4) {
             assert_eq!(
                 mem_cached.load_u32(addr).expect("in range"),
                 mem_ref.load_u32(addr).expect("in range"),
@@ -196,7 +253,9 @@ f2_core::ptest! {
     /// core's architectural state, and the shared-TCDM image are all
     /// bit-identical. The loop body mixes word, byte and half-word TCDM
     /// traffic (hart-strided, so banks genuinely conflict) with private
-    /// scratch accesses.
+    /// scratch accesses. Spread bodies (see [`body_layout`]) grow each
+    /// core's block table mid-run, between boundary yields whose resume
+    /// hints name a block's slot.
     fn partitioned_stepping_matches_lockstep(g) {
         use f2_scf::multicore::{MulticoreCluster, MulticoreConfig, TCDM_BASE};
         let cores = [1usize, 2, 8][g.usize_in(0..3)];
@@ -204,12 +263,14 @@ f2_core::ptest! {
         let body_len = g.usize_in(3..10);
         let passes = g.i32_in(1..8);
         // Prologue: x9 = countdown, x6 = TCDM_BASE + 4*hart (a0 = hart id).
-        let mut program = vec![
+        let prologue = [
             asm::addi(9, 0, passes),
             asm::lui(6, (TCDM_BASE >> 12) as i32),
             asm::slli(7, 10, 2),
             asm::add(6, 6, 7),
         ];
+        let at = body_layout(g, prologue.len(), body_len);
+        let mut body = Vec::with_capacity(body_len);
         for _ in 0..body_len {
             let rd = 1 + (g.u8() % 5); // x1..x5: x6/x7/x9..x11 preserved
             let rs1 = g.u8() % 8;
@@ -223,14 +284,13 @@ f2_core::ptest! {
                 5 => asm::sb(rs2, 6, g.i32_in(0..64)),
                 6 => asm::lhu(rd, 6, 2 * g.i32_in(0..32)),
                 7 => asm::sh(rs2, 6, 2 * g.i32_in(0..32)),
-                8 => asm::sw(rs2, 0, 0x400 + 4 * (rs1 as i32 % 8)),
+                // Private scratch, beyond the code of a spread body.
+                8 => asm::sw(rs2, 0, 0x700 + 4 * (rs1 as i32 % 8)),
                 _ => asm::addi(rd, rs1, g.i32_in(-16..16)),
             };
-            program.push(word);
+            body.push(word);
         }
-        program.push(asm::addi(9, 9, -1));
-        program.push(asm::bne(9, 0, -(4 * (body_len as i32 + 1))));
-        program.push(asm::ecall());
+        let program = assemble(&prologue, &body, &at);
 
         let cfg = MulticoreConfig {
             cores,
@@ -262,11 +322,7 @@ f2_core::ptest! {
     /// Memory round-trip through the ISS store/load path.
     fn store_load_round_trip(g) {
         let v = g.u32();
-        let mut program = Vec::new();
-        let low = v & 0xFFF;
-        let high = (v >> 12).wrapping_add((low >> 11) & 1) as i32;
-        program.push(asm::lui(1, high));
-        program.push(asm::addi(1, 1, ((low as i32) << 20) >> 20));
+        let mut program = load_const(1, v).to_vec();
         program.push(asm::sw(1, 0, 0x400));
         program.push(asm::lw(2, 0, 0x400));
         program.push(asm::ecall());
