@@ -88,10 +88,14 @@ stage_test() {
     run cargo test --quiet --offline --workspace
 }
 
-# Style gates.
+# Style gates, for the workspace and for the benchmark package (a
+# workspace of its own that calls the public APIs).
 stage_style() {
     run cargo fmt --all -- --check
     run cargo clippy --offline --workspace --all-targets -- -D warnings
+    run cargo fmt --all --manifest-path perfbench/Cargo.toml -- --check
+    run cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml \
+        -- -D warnings
 }
 
 # Experiment smoke: run the whole registry at quick fidelity and pipe the

@@ -19,9 +19,9 @@
 //! [`BB_CACHE_MAX_SLOTS`] (64 KiB of code). Execution stays bit-identical
 //! to the plain interpreter ([`Cpu::step`]):
 //!
-//! * every instruction updates the PC and the `cycle`/`instret` counters
-//!   individually, so mid-block CSR reads, faults and budget stops observe
-//!   exactly the interpreter's state;
+//! * every instruction checks both budgets first and updates the PC and
+//!   the `cycle`/`instret` counters individually, so mid-block CSR reads,
+//!   faults and budget stops observe exactly the interpreter's state;
 //! * each block remembers the exact words it was compiled from, and a
 //!   successful store overlapping any cached block's byte range invalidates
 //!   that block — a store into the *currently running* block additionally
@@ -33,6 +33,12 @@
 //! * `run` drops all blocks on entry, because the caller may have rewritten
 //!   memory since the previous call.
 //!
+//! `run` takes a [`FlatMemory`] and is not generic, so the engine behind it
+//! is compiled once, inside this crate, whichever binary calls it. A core
+//! of the multicore cluster stops its block at every shared-memory access
+//! (see [`crate::multicore`]); the instruction after it then starts a block
+//! of its own, compiled once like any other.
+//!
 //! Dropped tables hand their blocks to a thread-local spare pool that the
 //! compiler builds new blocks in, so neither a core's teardown nor its
 //! compiles churn the allocator.
@@ -40,7 +46,7 @@
 use std::cell::RefCell;
 
 use crate::error::ScfError;
-use crate::isa::{decode, AluOp, BranchCond, CsrOp, Instr, MemWidth, MulDivOp};
+use crate::isa::{decode, AluOp, BranchCond, Instr, MemWidth, MulDivOp};
 use crate::memory::{FlatMemory, Memory};
 use crate::Result;
 
@@ -152,27 +158,6 @@ struct BasicBlock {
     end_pc: u32,
     words: Vec<u32>,
     instrs: Vec<Instr>,
-    /// Upper bound on the cycles one full pass over the block can consume
-    /// (every instruction charged its worst case). When the remaining cycle
-    /// budget exceeds this bound — the overwhelmingly common case — the
-    /// dispatch loop runs the block without per-instruction budget checks,
-    /// which cannot change behavior because the checks could not have fired.
-    worst_cost: u64,
-}
-
-/// Worst-case cycle cost of `instr` under `m` (taken branches, loads and
-/// divides charged their maximum).
-fn worst_case_cost(instr: Instr, m: &CycleModel) -> u64 {
-    m.base
-        + match instr {
-            Instr::Jal { .. } | Instr::Jalr { .. } | Instr::Branch { .. } => m.taken_branch_extra,
-            Instr::Load { .. } => m.load_extra,
-            Instr::MulDiv { op, .. } => match op {
-                MulDivOp::Mul | MulDivOp::Mulh | MulDivOp::Mulhsu | MulDivOp::Mulhu => m.mul_extra,
-                _ => m.div_extra,
-            },
-            _ => 0,
-        }
 }
 
 /// True when `instr` must terminate a basic block.
@@ -202,11 +187,7 @@ fn overlaps(addr: u32, len: u32, lo: u32, hi: u32) -> bool {
 /// not even the first word compiles, and propagates [`ScfError::Yield`]
 /// when the first fetch hits a partitioned-stepping boundary.
 #[inline(never)] // cold next to the dispatch loop; keeps its Vec frames out of the hot path
-fn compile_block(
-    pc: u32,
-    mem: &mut impl Memory,
-    m: &CycleModel,
-) -> Result<Option<Box<BasicBlock>>> {
+fn compile_block(pc: u32, mem: &mut impl Memory) -> Result<Option<Box<BasicBlock>>> {
     let mut block: Box<BasicBlock> = SPARE_BLOCKS
         .try_with(|spare| spare.borrow_mut().pop())
         .ok()
@@ -215,7 +196,6 @@ fn compile_block(
     block.entry_pc = pc;
     block.words.clear();
     block.instrs.clear();
-    block.worst_cost = 0;
     let mut cur = pc;
     loop {
         let word = match mem.load_u32(cur) {
@@ -226,7 +206,6 @@ fn compile_block(
         let Ok(instr) = decode(word, cur) else { break };
         block.words.push(word);
         block.instrs.push(instr);
-        block.worst_cost = block.worst_cost.saturating_add(worst_case_cost(instr, m));
         cur = cur.wrapping_add(4);
         if ends_block(instr) || block.instrs.len() >= BB_MAX_LEN || cur < pc {
             break;
@@ -349,12 +328,6 @@ pub struct Cpu {
     bb_invalidations: u64,
     bb_evictions: u64,
     bb_lens: Vec<u32>,
-    /// `(slot, pc)` continuation hint left by a boundary yield: the next
-    /// [`Cpu::exec_blocks`] call re-enters the suspended block at `pc`
-    /// (the instruction after the replayed one) without a dispatch probe.
-    /// Purely an optimization — it is revalidated against the cache before
-    /// use and cleared whenever cached code is dropped or moved.
-    resume: Option<(usize, u32)>,
 }
 
 impl PartialEq for Cpu {
@@ -395,7 +368,6 @@ impl Cpu {
             bb_invalidations: 0,
             bb_evictions: 0,
             bb_lens: Vec::new(),
-            resume: None,
         }
     }
 
@@ -455,7 +427,6 @@ impl Cpu {
         }
         self.code_lo = u32::MAX;
         self.code_hi = 0;
-        self.resume = None;
     }
 
     /// Drains the block-cache statistics into the process-wide trace sinks.
@@ -480,33 +451,17 @@ impl Cpu {
 
     /// Runs until `ecall`/`ebreak` or the step budget is exhausted.
     ///
-    /// Architectural results are bit-identical to stepping [`Cpu::step`] in
-    /// a loop; instruction words may however be *fetched* in straight-line
-    /// batches by the block compiler, so memories with load side effects
-    /// should be driven through `step` instead.
+    /// Architectural results and the final memory image are bit-identical
+    /// to stepping [`Cpu::step`] in a loop; other memory views (with load
+    /// side effects, say) are driven through `step`.
     ///
     /// # Errors
     ///
     /// Returns [`ScfError::Timeout`] if the budget runs out, and propagates
     /// decode/memory faults.
-    pub fn run(&mut self, mem: &mut impl Memory, max_instructions: u64) -> Result<RunStats> {
-        // Plain flat memories (the common case) run through a non-generic
-        // engine entry compiled inside this crate; see `Memory::as_flat`.
-        if let Some(flat) = mem.as_flat() {
-            return self.run_flat(flat, max_instructions);
-        }
-        self.run_inner(mem, max_instructions)
-    }
-
-    /// Non-generic [`Cpu::run`] for a bare [`FlatMemory`]. Monomorphized
-    /// here, once, so every consumer links the same engine object code.
-    fn run_flat(&mut self, mem: &mut FlatMemory, max_instructions: u64) -> Result<RunStats> {
-        self.run_inner(mem, max_instructions)
-    }
-
-    fn run_inner(&mut self, mem: &mut impl Memory, max_instructions: u64) -> Result<RunStats> {
-        // Public entry point: the caller may have rewritten memory since
-        // the previous call, so compiled blocks cannot be trusted here.
+    pub fn run(&mut self, mem: &mut FlatMemory, max_instructions: u64) -> Result<RunStats> {
+        // The caller may have rewritten memory since the previous call, so
+        // compiled blocks cannot be trusted here.
         self.clear_block_cache();
         let mut instructions = 0;
         let mut cycles = 0;
@@ -628,9 +583,6 @@ impl Cpu {
         instructions: &mut u64,
         cycles: &mut u64,
     ) -> BlockExit {
-        // Continuation hint from the previous call's boundary yield,
-        // revalidated below before use (the cache may have changed).
-        let mut resume = self.resume.take();
         // `hot` is authoritative for the PC and the counters inside this
         // function; it syncs back into `self` at the single exit below and
         // around the interpreter fallback. The cycle model is immutable
@@ -653,64 +605,46 @@ impl Cpu {
             if cyc0 + (hot.cycle - hc0) >= max_cycles {
                 break 'run BlockExit::CycleCap;
             }
-            // Dispatch: a valid resume hint drops straight back into the
-            // suspended block at the instruction after the replayed one
-            // (boundary instructions are loads/stores, so the replay
-            // advanced the PC by exactly one word); otherwise probe the
-            // cache at the current PC and compile on miss.
-            let resumed = resume.take().and_then(|(slot, pc)| {
-                if pc != hot.pc {
-                    return None;
-                }
-                let b = self.blocks[slot].as_ref()?;
-                (b.entry_pc < pc && pc < b.end_pc)
-                    .then(|| (slot, ((pc - b.entry_pc) >> 2) as usize))
-            });
-            let (slot, mut start) = if let Some(hit) = resumed {
+            // Dispatch: probe the cache at the current PC, compile on miss.
+            let mut slot = self.slot_of(hot.pc);
+            let cached = matches!(&self.blocks[slot], Some(b) if b.entry_pc == hot.pc);
+            if cached {
                 self.bb_hits += 1;
-                hit
             } else {
-                let mut slot = self.slot_of(hot.pc);
-                let cached = matches!(&self.blocks[slot], Some(b) if b.entry_pc == hot.pc);
-                if cached {
-                    self.bb_hits += 1;
-                } else {
-                    match compile_block(hot.pc, mem, &model) {
-                        Err(_) => break 'run BlockExit::Yield { predecoded: None },
-                        Ok(None) => {
-                            // Not even one instruction compiles: take a
-                            // plain interpreter step so the fault surfaces
-                            // with its exact (pc, word) context.
-                            hot.store(self);
-                            match self.step(mem) {
-                                Err(ScfError::Yield) => {
-                                    break 'run BlockExit::Yield { predecoded: None }
+                match compile_block(hot.pc, mem) {
+                    Err(_) => break 'run BlockExit::Yield { predecoded: None },
+                    Ok(None) => {
+                        // Not even one instruction compiles: take a plain
+                        // interpreter step so the fault surfaces with its
+                        // exact (pc, word) context.
+                        hot.store(self);
+                        match self.step(mem) {
+                            Err(ScfError::Yield) => {
+                                break 'run BlockExit::Yield { predecoded: None }
+                            }
+                            Err(e) => break 'run BlockExit::Fault(e),
+                            Ok((halt, _cost)) => {
+                                // The step ran on `self` directly, so
+                                // reloading `hot` folds its cost and
+                                // retirement into the mirrored deltas.
+                                let issued_at = cyc0 + (hot.cycle - hc0);
+                                hot = HotState::load(self);
+                                if let Some(reason) = halt {
+                                    break 'run BlockExit::Halt { reason, issued_at };
                                 }
-                                Err(e) => break 'run BlockExit::Fault(e),
-                                Ok((halt, _cost)) => {
-                                    // The step ran on `self` directly, so
-                                    // reloading `hot` folds its cost and
-                                    // retirement into the mirrored deltas.
-                                    let issued_at = cyc0 + (hot.cycle - hc0);
-                                    hot = HotState::load(self);
-                                    if let Some(reason) = halt {
-                                        break 'run BlockExit::Halt { reason, issued_at };
-                                    }
-                                    continue;
-                                }
+                                continue;
                             }
                         }
-                        Ok(Some(block)) => {
-                            self.bb_misses += 1;
-                            self.bb_lens.push(block.instrs.len() as u32);
-                            self.code_lo = self.code_lo.min(block.entry_pc);
-                            self.code_hi = self.code_hi.max(block.end_pc);
-                            slot = self.install(block);
-                        }
+                    }
+                    Ok(Some(block)) => {
+                        self.bb_misses += 1;
+                        self.bb_lens.push(block.instrs.len() as u32);
+                        self.code_lo = self.code_lo.min(block.entry_pc);
+                        self.code_hi = self.code_hi.max(block.end_pc);
+                        slot = self.install(block);
                     }
                 }
-                (slot, 0)
-            };
+            }
             // Execute with the block taken out of its slot: stores hitting
             // *other* cached blocks invalidate them in place, while a store
             // into this block's own range aborts execution after the
@@ -723,47 +657,18 @@ impl Cpu {
             // locally and folded into `bb_hits` once at the end, keeping
             // the per-pass cost to a register increment.
             let mut loop_hits: u64 = 0;
-            // Passes already proven to fit both budgets; while positive the
-            // per-pass budget arithmetic is skipped entirely.
-            let mut free_passes: u64 = 0;
             'exec: loop {
-                // One full pass over the rest of the block retires at most
-                // `len - start` instructions and `worst_cost` cycles; when
-                // both fit the remaining budgets, the per-instruction checks
-                // below cannot fire and are skipped (the loop-invariant
-                // `checked` flag unswitches the loop). When whole extra
-                // passes also fit, their count is banked in `free_passes`
-                // so a tight self-loop re-enters without recomputing.
-                let checked = if free_passes > 0 {
-                    free_passes -= 1;
-                    false
-                } else {
-                    let rest = (block.instrs.len() - start) as u64;
-                    let ins_now = ins0 + (hot.instret - hi0);
-                    let cyc_now = cyc0 + (hot.cycle - hc0);
-                    let c = ins_now.saturating_add(rest) > max_instructions
-                        || cyc_now.saturating_add(block.worst_cost) > max_cycles;
-                    if !c {
-                        let len = (block.instrs.len() as u64).max(1);
-                        let worst = block.worst_cost.max(1);
-                        free_passes = ((max_instructions - ins_now - rest) / len)
-                            .min((max_cycles - cyc_now - block.worst_cost) / worst);
+                for (i, &instr) in block.instrs.iter().enumerate() {
+                    if ins0 + (hot.instret - hi0) >= max_instructions {
+                        exit = Some(BlockExit::InstrCap);
+                        break 'exec;
                     }
-                    c
-                };
-                for (i, &instr) in block.instrs[start..].iter().enumerate() {
-                    if checked {
-                        if ins0 + (hot.instret - hi0) >= max_instructions {
-                            exit = Some(BlockExit::InstrCap);
-                            break 'exec;
-                        }
-                        if cyc0 + (hot.cycle - hc0) >= max_cycles {
-                            exit = Some(BlockExit::CycleCap);
-                            break 'exec;
-                        }
+                    if cyc0 + (hot.cycle - hc0) >= max_cycles {
+                        exit = Some(BlockExit::CycleCap);
+                        break 'exec;
                     }
                     let cyc_before = hot.cycle;
-                    match self.exec_one(instr, || block.words[start + i], mem, &mut hot, model) {
+                    match self.exec_one(instr, || block.words[i], mem, &mut hot, model) {
                         Ok(None) => {}
                         Ok(Some(ExecEvent::Store { addr, len })) => {
                             if overlaps(addr, len, self.code_lo, self.code_hi) {
@@ -787,12 +692,8 @@ impl Cpu {
                             break 'exec;
                         }
                         Err(ScfError::Yield) => {
-                            // The PC still points at the yielding
-                            // instruction; after its replay the block
-                            // continues one word further on.
-                            self.resume = Some((slot, hot.pc.wrapping_add(4)));
                             exit = Some(BlockExit::Yield {
-                                predecoded: Some((instr, block.words[start + i])),
+                                predecoded: Some((instr, block.words[i])),
                             });
                             break 'exec;
                         }
@@ -807,7 +708,6 @@ impl Cpu {
                 // it directly and skip the dispatch probe entirely.
                 if reinstall && hot.pc == block.entry_pc {
                     loop_hits += 1;
-                    start = 0;
                     continue;
                 }
                 break;
@@ -851,8 +751,7 @@ impl Cpu {
 
     /// Doubles the block table. The block in slot `i` of `n` moves to
     /// `i + n` when its entry word index has bit `log2 n` set, so no two
-    /// blocks collide and nothing recompiles. Slots change, so the resume
-    /// hint is dropped.
+    /// blocks collide and nothing recompiles.
     fn grow(&mut self) {
         let n = self.blocks.len();
         self.blocks.resize_with(2 * n, || None);
@@ -863,7 +762,6 @@ impl Cpu {
                 }
             }
         }
-        self.resume = None;
     }
 
     /// Drops every cached block overlapping the stored byte range. A block
@@ -885,9 +783,6 @@ impl Cpu {
                 }
             }
         }
-        // Any invalidation may have hit the suspended block; dropping the
-        // hint just costs the next dispatch a cache probe.
-        self.resume = None;
     }
 
     /// Executes one already-decoded instruction. On `Ok` the PC and the
@@ -1022,16 +917,11 @@ impl Cpu {
                 })
             }
             Instr::Fence => {}
-            Instr::Csr { op, rd, src, csr } => {
+            // Counter CSRs are read-only; set/clear with x0 (and any write
+            // form) leaves them unchanged in this model.
+            Instr::Csr { rd, csr, .. } => {
                 let old = self.csr_read(csr, hot, word())?;
                 self.set_reg(rd, old);
-                // Counter CSRs are read-only; set/clear with x0 (and any
-                // write form) leaves them unchanged in this model.
-                let _ = (op, src);
-                match op {
-                    CsrOp::Rw | CsrOp::Rwi => {}
-                    CsrOp::Rs | CsrOp::Rsi | CsrOp::Rc | CsrOp::Rci => {}
-                }
             }
         }
         hot.pc = next_pc;

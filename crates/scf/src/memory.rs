@@ -10,6 +10,7 @@
 use crate::error::ScfError;
 use crate::Result;
 use std::cell::RefCell;
+use std::thread::LocalKey;
 
 // Zeroed-buffer recycling for simulator state.
 //
@@ -21,54 +22,36 @@ use std::cell::RefCell;
 // iteration). Instead, dropped buffers return — re-zeroed only over their
 // dirty span — to a small thread-local pool, making construction
 // O(touched state) and allocator-independent. Pool invariant: every stored
-// buffer is entirely zero.
+// buffer is entirely zero (`T::default()` is zero for both element types).
+
+type Pool<T> = RefCell<Vec<Vec<T>>>;
 
 const POOL_CAP: usize = 32;
 
 thread_local! {
-    static BYTE_POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
-    static WORD_POOL: RefCell<Vec<Vec<u32>>> = const { RefCell::new(Vec::new()) };
+    static BYTE_POOL: Pool<u8> = const { RefCell::new(Vec::new()) };
+    static WORD_POOL: Pool<u32> = const { RefCell::new(Vec::new()) };
 }
 
-fn take_zeroed_bytes(len: usize) -> Vec<u8> {
-    BYTE_POOL
-        .with(|p| {
-            let mut p = p.borrow_mut();
-            p.iter()
-                .position(|b| b.len() == len)
-                .map(|i| p.swap_remove(i))
-        })
-        .unwrap_or_else(|| vec![0; len])
+/// A zeroed buffer of `len` elements, reused from `pool` when it holds one.
+fn take_zeroed<T: Copy + Default>(pool: &'static LocalKey<Pool<T>>, len: usize) -> Vec<T> {
+    pool.with(|p| {
+        let mut p = p.borrow_mut();
+        p.iter()
+            .position(|b| b.len() == len)
+            .map(|i| p.swap_remove(i))
+    })
+    .unwrap_or_else(|| vec![T::default(); len])
 }
 
-fn recycle_bytes(mut buf: Vec<u8>, dirty: usize) {
-    BYTE_POOL.with(|p| {
+/// Re-zeroes `buf` over its first `dirty` elements and returns it to
+/// `pool`, unless the pool is full.
+fn recycle<T: Copy + Default>(pool: &'static LocalKey<Pool<T>>, mut buf: Vec<T>, dirty: usize) {
+    pool.with(|p| {
         let mut p = p.borrow_mut();
         if p.len() < POOL_CAP && !buf.is_empty() {
             let hi = dirty.min(buf.len());
-            buf[..hi].fill(0);
-            p.push(buf);
-        }
-    });
-}
-
-fn take_zeroed_words(len: usize) -> Vec<u32> {
-    WORD_POOL
-        .with(|p| {
-            let mut p = p.borrow_mut();
-            p.iter()
-                .position(|b| b.len() == len)
-                .map(|i| p.swap_remove(i))
-        })
-        .unwrap_or_else(|| vec![0; len])
-}
-
-fn recycle_words(mut buf: Vec<u32>, dirty: usize) {
-    WORD_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.len() < POOL_CAP && !buf.is_empty() {
-            let hi = dirty.min(buf.len());
-            buf[..hi].fill(0);
+            buf[..hi].fill(T::default());
             p.push(buf);
         }
     });
@@ -76,16 +59,6 @@ fn recycle_words(mut buf: Vec<u32>, dirty: usize) {
 
 /// Byte-addressable memory interface used by the ISS core.
 pub trait Memory {
-    /// Fast-path hook: returns the underlying [`FlatMemory`] when the
-    /// implementation is exactly a flat memory with no routing on top.
-    /// [`crate::cpu::Cpu::run`] uses this to dispatch into a non-generic
-    /// engine entry compiled once inside this crate, so hot-loop code
-    /// quality does not depend on which downstream crate monomorphized
-    /// the generic entry point.
-    fn as_flat(&mut self) -> Option<&mut FlatMemory> {
-        None
-    }
-
     /// Loads one byte.
     ///
     /// # Errors
@@ -105,72 +78,28 @@ pub trait Memory {
     /// # Errors
     ///
     /// Returns [`ScfError::MemoryFault`] for unmapped/misaligned addresses.
-    fn load_u32(&mut self, addr: u32) -> Result<u32> {
-        if !addr.is_multiple_of(4) {
-            return Err(ScfError::MemoryFault {
-                addr,
-                cause: "misaligned word load",
-            });
-        }
-        let b0 = self.load_u8(addr)? as u32;
-        let b1 = self.load_u8(addr + 1)? as u32;
-        let b2 = self.load_u8(addr + 2)? as u32;
-        let b3 = self.load_u8(addr + 3)? as u32;
-        Ok(b0 | (b1 << 8) | (b2 << 16) | (b3 << 24))
-    }
+    fn load_u32(&mut self, addr: u32) -> Result<u32>;
 
     /// Stores a 32-bit little-endian word.
     ///
     /// # Errors
     ///
     /// Returns [`ScfError::MemoryFault`] for unmapped/misaligned addresses.
-    fn store_u32(&mut self, addr: u32, value: u32) -> Result<()> {
-        if !addr.is_multiple_of(4) {
-            return Err(ScfError::MemoryFault {
-                addr,
-                cause: "misaligned word store",
-            });
-        }
-        self.store_u8(addr, value as u8)?;
-        self.store_u8(addr + 1, (value >> 8) as u8)?;
-        self.store_u8(addr + 2, (value >> 16) as u8)?;
-        self.store_u8(addr + 3, (value >> 24) as u8)?;
-        Ok(())
-    }
+    fn store_u32(&mut self, addr: u32, value: u32) -> Result<()>;
 
     /// Loads a 16-bit little-endian half-word.
     ///
     /// # Errors
     ///
     /// Returns [`ScfError::MemoryFault`] for unmapped/misaligned addresses.
-    fn load_u16(&mut self, addr: u32) -> Result<u16> {
-        if !addr.is_multiple_of(2) {
-            return Err(ScfError::MemoryFault {
-                addr,
-                cause: "misaligned half-word load",
-            });
-        }
-        let b0 = self.load_u8(addr)? as u16;
-        let b1 = self.load_u8(addr + 1)? as u16;
-        Ok(b0 | (b1 << 8))
-    }
+    fn load_u16(&mut self, addr: u32) -> Result<u16>;
 
     /// Stores a 16-bit little-endian half-word.
     ///
     /// # Errors
     ///
     /// Returns [`ScfError::MemoryFault`] for unmapped/misaligned addresses.
-    fn store_u16(&mut self, addr: u32, value: u16) -> Result<()> {
-        if !addr.is_multiple_of(2) {
-            return Err(ScfError::MemoryFault {
-                addr,
-                cause: "misaligned half-word store",
-            });
-        }
-        self.store_u8(addr, value as u8)?;
-        self.store_u8(addr + 1, (value >> 8) as u8)?;
-        Ok(())
-    }
+    fn store_u16(&mut self, addr: u32, value: u16) -> Result<()>;
 }
 
 /// A flat byte memory of fixed size starting at address 0.
@@ -196,7 +125,11 @@ impl Eq for FlatMemory {}
 
 impl Drop for FlatMemory {
     fn drop(&mut self) {
-        recycle_bytes(std::mem::take(&mut self.bytes), self.dirty_hi as usize);
+        recycle(
+            &BYTE_POOL,
+            std::mem::take(&mut self.bytes),
+            self.dirty_hi as usize,
+        );
     }
 }
 
@@ -204,7 +137,7 @@ impl FlatMemory {
     /// Creates a zeroed memory of `size` bytes.
     pub fn new(size: usize) -> Self {
         Self {
-            bytes: take_zeroed_bytes(size),
+            bytes: take_zeroed(&BYTE_POOL, size),
             dirty_hi: 0,
         }
     }
@@ -247,10 +180,6 @@ impl FlatMemory {
 }
 
 impl Memory for FlatMemory {
-    fn as_flat(&mut self) -> Option<&mut FlatMemory> {
-        Some(self)
-    }
-
     fn load_u8(&mut self, addr: u32) -> Result<u8> {
         self.bytes
             .get(addr as usize)
@@ -274,10 +203,6 @@ impl Memory for FlatMemory {
             }),
         }
     }
-
-    // Single-slice fast paths: the trait defaults decompose into per-byte
-    // accesses, which makes the instruction fetch four bounds checks per
-    // step — the hottest operation of the whole ISS.
 
     fn load_u32(&mut self, addr: u32) -> Result<u32> {
         if !addr.is_multiple_of(4) {
@@ -391,7 +316,11 @@ impl PartialEq for Tcdm {
 
 impl Drop for Tcdm {
     fn drop(&mut self) {
-        recycle_words(std::mem::take(&mut self.data), self.dirty_hi as usize);
+        recycle(
+            &WORD_POOL,
+            std::mem::take(&mut self.data),
+            self.dirty_hi as usize,
+        );
     }
 }
 
@@ -416,7 +345,7 @@ impl Tcdm {
         Ok(Self {
             banks,
             words_per_bank,
-            data: take_zeroed_words(banks * words_per_bank),
+            data: take_zeroed(&WORD_POOL, banks * words_per_bank),
             dirty_hi: 0,
             current_cycle: 0,
             bank_stamp: vec![0; banks],

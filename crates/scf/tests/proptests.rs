@@ -1,6 +1,7 @@
 //! Property-based tests of the RV32IM ISS against host arithmetic.
 
-use f2_scf::cpu::Cpu;
+use f2_scf::cpu::{Cpu, RunStats};
+use f2_scf::error::ScfError;
 use f2_scf::isa::{asm, decode};
 use f2_scf::memory::{FlatMemory, Memory};
 
@@ -69,6 +70,60 @@ fn assemble(prologue: &[u32], body: &[u32], at: &[usize]) -> Vec<u32> {
     program.push(asm::bne(9, 0, -4 * (program.len() - top) as i32));
     program.push(asm::ecall());
     program
+}
+
+/// Where [`reference_run`] stopped, and the state it left.
+struct Reference {
+    out: Result<RunStats, ScfError>,
+    retired: u64,
+    regs: [u32; 32],
+    pc: u32,
+    mem: FlatMemory,
+}
+
+/// Runs `program` from pc 0 on a fresh hart per step (empty cache, fetch
+/// and decode every time, the architectural state carried over by hand)
+/// until a halt, a fault, or `budget` retired instructions.
+fn reference_run(program: &[u32], budget: u64) -> Reference {
+    let mut mem = FlatMemory::with_program(0, program);
+    let mut regs = [0u32; 32];
+    let mut pc = 0u32;
+    let mut retired = 0u64;
+    let mut cycles = 0u64;
+    let out = loop {
+        if retired >= budget {
+            break Err(ScfError::Timeout);
+        }
+        let mut fresh = Cpu::new(pc);
+        for (i, &v) in regs.iter().enumerate().skip(1) {
+            fresh.set_reg(i as u8, v);
+        }
+        match fresh.step(&mut mem) {
+            Err(e) => break Err(e),
+            Ok((halt, cost)) => {
+                retired += 1;
+                cycles += cost;
+                for (i, v) in regs.iter_mut().enumerate() {
+                    *v = fresh.reg(i as u8);
+                }
+                pc = fresh.pc();
+                if let Some(halt) = halt {
+                    break Ok(RunStats {
+                        halt,
+                        instructions: retired,
+                        cycles,
+                    });
+                }
+            }
+        }
+    };
+    Reference {
+        out,
+        retired,
+        regs,
+        pc,
+        mem,
+    }
 }
 
 f2_core::ptest! {
@@ -147,14 +202,16 @@ f2_core::ptest! {
 
     /// The basic-block compiler is semantically invisible: running a random
     /// *looping* program on one long-lived hart (compiled blocks reused
-    /// across iterations) matches a reference that fetches and decodes
-    /// afresh every step (a new hart per step, its architectural state
-    /// carried over by hand) — instruction for instruction, cycle for
-    /// cycle. The loop body includes stores into its own instruction words,
-    /// so later iterations re-execute blocks an earlier pass has patched:
-    /// the invalidation rule, not just cold decode, is under test. Spread
-    /// bodies (see [`body_layout`]) grow the block table mid-run, so those
-    /// stores also patch blocks that a growth moved.
+    /// across iterations) matches [`reference_run`], which fetches and
+    /// decodes afresh every step — instruction for instruction, cycle for
+    /// cycle, down to the final PC. The loop body includes stores into its
+    /// own instruction words, so later iterations re-execute blocks an
+    /// earlier pass has patched: the invalidation rule, not just cold
+    /// decode, is under test. Spread bodies (see [`body_layout`]) grow the
+    /// block table mid-run, so those stores also patch blocks that a growth
+    /// moved. Half the cases cut the budget below the instruction count of
+    /// the unbounded run, so the engine must stop inside a block exactly
+    /// where stepping stops.
     fn block_compiler_invisible(g) {
         let len = g.usize_in(4..32);
         // x9 = passes; x8 = a valid instruction word; loop: xori x8, 0x80;
@@ -198,51 +255,25 @@ f2_core::ptest! {
             body.push(word);
         }
         let program = assemble(&prologue, &body, &at);
-        let budget = 4 * (passes as u64 + 1) * program.len() as u64 + 16;
+        let mut budget = 4 * (passes as u64 + 1) * program.len() as u64 + 16;
+        if g.usize_in(0..2) == 1 {
+            budget = g.u64_in(0..reference_run(&program, budget).retired.max(1));
+        }
+        let want = reference_run(&program, budget);
 
         // Cached run: one hart end to end.
-        let mut mem_cached = FlatMemory::with_program(0, &program);
+        let mut mem = FlatMemory::with_program(0, &program);
         let mut cached = Cpu::new(0);
-        let cached_out = cached.run(&mut mem_cached, budget);
-
-        // Reference run: a fresh hart (empty cache) per step.
-        let mut mem_ref = FlatMemory::with_program(0, &program);
-        let mut regs = [0u32; 32];
-        let mut pc = 0u32;
-        let mut instructions = 0u64;
-        let mut cycles = 0u64;
-        let ref_out = loop {
-            if instructions >= budget {
-                break Err(f2_scf::error::ScfError::Timeout);
-            }
-            let mut fresh = Cpu::new(pc);
-            for (i, &v) in regs.iter().enumerate().skip(1) {
-                fresh.set_reg(i as u8, v);
-            }
-            match fresh.step(&mut mem_ref) {
-                Err(e) => break Err(e),
-                Ok((halt, cost)) => {
-                    instructions += 1;
-                    cycles += cost;
-                    for (i, v) in regs.iter_mut().enumerate() {
-                        *v = fresh.reg(i as u8);
-                    }
-                    pc = fresh.pc();
-                    if let Some(h) = halt {
-                        break Ok(f2_scf::cpu::RunStats { halt: h, instructions, cycles });
-                    }
-                }
-            }
-        };
-
-        assert_eq!(cached_out, ref_out);
+        assert_eq!(cached.run(&mut mem, budget), want.out, "budget {budget}");
+        assert_eq!(cached.pc(), want.pc, "pc diverged");
         for i in 0..32u8 {
-            assert_eq!(cached.reg(i), regs[i as usize], "register x{i} diverged");
+            assert_eq!(cached.reg(i), want.regs[i as usize], "register x{i} diverged");
         }
+        let mut want_mem = want.mem;
         for addr in (DATA as u32..DATA as u32 + 32).step_by(4) {
             assert_eq!(
-                mem_cached.load_u32(addr).expect("in range"),
-                mem_ref.load_u32(addr).expect("in range"),
+                mem.load_u32(addr).expect("in range"),
+                want_mem.load_u32(addr).expect("in range"),
                 "data word at {addr:#x} diverged"
             );
         }
@@ -254,8 +285,13 @@ f2_core::ptest! {
     /// bit-identical. The loop body mixes word, byte and half-word TCDM
     /// traffic (hart-strided, so banks genuinely conflict) with private
     /// scratch accesses. Spread bodies (see [`body_layout`]) grow each
-    /// core's block table mid-run, between boundary yields whose resume
-    /// hints name a block's slot.
+    /// core's block table mid-run, between boundary yields after which the
+    /// next instruction starts a block of its own. Half the cases also run
+    /// both engines under a cycle budget below the lockstep run's cycle
+    /// count, and both must stop with the same result. Up to three
+    /// straight-line instructions precede the final `ecall`, and half the
+    /// budgets fall in the last 8 cycles, so a core can reach the budget
+    /// inside the block that halts it.
     fn partitioned_stepping_matches_lockstep(g) {
         use f2_scf::multicore::{MulticoreCluster, MulticoreConfig, TCDM_BASE};
         let cores = [1usize, 2, 8][g.usize_in(0..3)];
@@ -290,20 +326,26 @@ f2_core::ptest! {
             };
             body.push(word);
         }
-        let program = assemble(&prologue, &body, &at);
-
-        let cfg = MulticoreConfig {
-            cores,
-            tcdm_banks: banks,
-            tcdm_words_per_bank: 512 / banks,
-            max_cycles: 1_000_000,
-        };
-        let mut fast = MulticoreCluster::spmd(cfg, &program).expect("valid config");
-        let mut reference = MulticoreCluster::spmd(cfg, &program).expect("valid config");
-        for i in 0..64usize {
-            fast.tcdm_mut().write_word(i, (11 * i) as u32).expect("in range");
-            reference.tcdm_mut().write_word(i, (11 * i) as u32).expect("in range");
+        let mut program = assemble(&prologue, &body, &at);
+        for _ in 0..g.usize_in(0..4) {
+            program.insert(program.len() - 1, asm::addi(1, 1, 1));
         }
+
+        let cluster = |max_cycles| {
+            let cfg = MulticoreConfig {
+                cores,
+                tcdm_banks: banks,
+                tcdm_words_per_bank: 512 / banks,
+                max_cycles,
+            };
+            let mut cluster = MulticoreCluster::spmd(cfg, &program).expect("valid config");
+            for i in 0..64usize {
+                cluster.tcdm_mut().write_word(i, (11 * i) as u32).expect("in range");
+            }
+            cluster
+        };
+        let mut fast = cluster(1_000_000);
+        let mut reference = cluster(1_000_000);
         let a = fast.run().expect("SPMD program halts");
         let b = reference.run_lockstep().expect("SPMD program halts");
         assert_eq!(a, b, "cores={cores} banks={banks}");
@@ -316,6 +358,12 @@ f2_core::ptest! {
                 reference.tcdm_mut().read_word(idx).expect("in range"),
                 "TCDM word {idx}"
             );
+        }
+        if g.usize_in(0..2) == 1 {
+            let span = if g.usize_in(0..2) == 1 { b.cycles } else { b.cycles.min(8) };
+            let cap = b.cycles - 1 - g.u64_in(0..span);
+            let capped = cluster(cap).run();
+            assert_eq!(capped, cluster(cap).run_lockstep(), "max_cycles={cap}");
         }
     }
 
