@@ -98,12 +98,16 @@ stage_style() {
         -- -D warnings
 }
 
-# Experiment smoke: run the whole registry at quick fidelity and pipe the
-# KPI reports through the golden comparator (tests/golden/*.json). The
-# sparse-dataflow explorer is additionally gated alone, by name, so a
-# registry wiring regression cannot silently drop it from `all`.
+# Experiment smoke: run the whole registry at quick fidelity on 1, 2 and
+# 8 worker threads and pipe each pass's KPI reports through the golden
+# comparator (tests/golden/*.json): the reports must be bit-identical at
+# every width. The sparse-dataflow explorer is additionally gated alone,
+# by name, so a registry wiring regression cannot silently drop it from
+# `all`.
 stage_golden() {
-    run bash -c "$F2 run all --quick --json | $F2 check"
+    for threads in 1 2 8; do
+        run bash -c "$F2 run all --quick --json --threads $threads | $F2 check"
+    done
     run bash -c "$F2 run hls/spdataflow --quick --json | $F2 check"
 }
 
@@ -181,7 +185,7 @@ stage_serve() {
         --rps 40 --duration 2 --out /tmp/f2-loadgen.json
 
     # A repeated identical request after one warmup round must be served
-    # 100% from the sharded cache.
+    # 100% from the result cache.
     run timeout 60 "$F2" loadgen --addr "$addr" --mix cached --rps 40 \
         --duration 1 --warmup 1 --expect-all-hits \
         --out /tmp/f2-loadgen-cached.json

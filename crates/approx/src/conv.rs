@@ -44,11 +44,6 @@ impl Kernel {
         self.taps[u * self.size + v]
     }
 
-    /// Sum of all taps.
-    pub fn tap_sum(&self) -> f64 {
-        self.taps.iter().sum()
-    }
-
     /// A normalised box (mean) kernel of side `t`.
     ///
     /// # Panics

@@ -1021,6 +1021,12 @@ mod tests {
                                         "dims":{"n":{"min":0.5,"max":2,"int":true}}}}]}"#,
                 "integer bounds",
             ),
+            (
+                r#"{"schema":"f2-campaign-manifest-v1",
+                    "base":{"fidelity":{"scale":0.5}},
+                    "specs":[{"experiment":"poly","grid":{"x":[1]}}]}"#,
+                "fidelity",
+            ),
         ] {
             let err = expand_manifest(text, &reg).expect_err(text);
             assert!(err.contains(needle), "{text}: got `{err}`, want `{needle}`");

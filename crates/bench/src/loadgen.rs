@@ -43,7 +43,7 @@ pub enum Mix {
     /// warmed, and the body-identity check.
     Cached,
     /// `POST /run` over two cheap catalog experiments × five seeds (ten
-    /// distinct keys) — exercises batching and the sharded cache.
+    /// distinct keys) — exercises batching and the result cache.
     Sweep,
 }
 

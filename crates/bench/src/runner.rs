@@ -14,8 +14,7 @@
 //! read. `run` builds a [`Scenario`] — the first-class run configuration
 //! of seed, fidelity, threads and per-experiment params — from its flags,
 //! applied in order so `--scenario <file.json> --seed 9` overrides the
-//! file's seed. `F2_TRACE` switches `--trace` on (`F2_TRACE=1` writes
-//! `f2-trace.json`, any other truthy value is used as the output path).
+//! file's seed.
 //!
 //! `check` closes the CI loop as a plain UNIX pipe, and `check-trace`
 //! validates a trace file the same way CI does:
@@ -32,25 +31,6 @@ use std::path::PathBuf;
 use f2_core::experiment::{golden, ExperimentCtx, ExperimentReport, Registry};
 use f2_core::json::{Json, ToJson};
 use f2_core::scenario::{Fidelity, ParamValue, Scenario};
-
-/// Environment variable enabling `--trace` without a flag: truthy values
-/// switch tracing on; anything that is not `1`/`true` is the output path.
-pub const TRACE_ENV: &str = "F2_TRACE";
-
-/// Resolves [`TRACE_ENV`] to a trace output path, honouring the workspace
-/// truthiness rule (empty, `0` and `false` mean off).
-fn trace_env_path() -> Option<PathBuf> {
-    let raw = std::env::var(TRACE_ENV).ok()?;
-    if !golden::env_flag_enabled(&raw) {
-        return None;
-    }
-    let trimmed = raw.trim();
-    if trimmed.eq_ignore_ascii_case("1") || trimmed.eq_ignore_ascii_case("true") {
-        Some(PathBuf::from("f2-trace.json"))
-    } else {
-        Some(PathBuf::from(trimmed))
-    }
-}
 
 /// Options of the `run` subcommand.
 pub struct RunOptions {
@@ -76,7 +56,7 @@ impl Default for RunOptions {
                 Fidelity::Full,
                 f2_core::exec::num_threads(),
             ),
-            trace: trace_env_path(),
+            trace: None,
             metrics: false,
         }
     }
@@ -104,11 +84,11 @@ impl Default for BenchOptions {
     fn default() -> Self {
         Self {
             quick: false,
-            samples: f2_core::benchkit::samples_from_env(),
+            samples: f2_core::benchkit::DEFAULT_SAMPLES,
             filter: None,
             threads: f2_core::exec::num_threads(),
             out: None,
-            trace: trace_env_path(),
+            trace: None,
         }
     }
 }
@@ -199,8 +179,7 @@ const COMMANDS: &[Cmd] = &[
                                     `f2 list --json`)"),
         ("--scenario", "<file.json>", "load the whole scenario from a JSON\n\
                                        document (later flags still override)"),
-        ("--trace", "<out.json>", "write a Chrome/Perfetto trace of the run\n\
-                                   (or set F2_TRACE=<path>)"),
+        ("--trace", "<out.json>", "write a Chrome/Perfetto trace of the run"),
         ("--metrics", "", "append the trace summary (hot spans,\n\
                            counters, quantiles) to the output"),
     ] },
@@ -218,8 +197,7 @@ const COMMANDS: &[Cmd] = &[
     ] },
     Cmd { name: "bench", arg: "", summary: "run the curated hot-kernel suite", flags: &[
         ("--quick", "", "smaller sizes (baseline/CI configuration)"),
-        ("--samples", "<N>", "measured samples per benchmark\n\
-                              (or set F2_BENCH_SAMPLES)"),
+        ("--samples", "<N>", "measured samples per benchmark (default 15)"),
         ("--filter", "<substr>", "only labels containing the substring"),
         ("--threads", "<N>", "worker threads for pool-based kernels"),
         ("--out", "<report.json>", "write the f2-bench-v1 JSON report"),
@@ -238,7 +216,6 @@ const COMMANDS: &[Cmd] = &[
         ("--addr", "<host:port>", "bind address (default 127.0.0.1:0,\n\
                                    port 0 = ephemeral)"),
         ("--threads", "<N>", "worker threads of the batch pool"),
-        ("--shards", "<N>", "result-cache shard count (default 16)"),
         ("--port-file", "<path>", "write the bound host:port here"),
         ("--log", "<file.jsonl>", "append one f2-serve-log-v1 record per\n\
                                    /run request (access/event log)"),
@@ -459,7 +436,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             (Command::Serve(c), "--addr") => c.addr = v.to_string(),
             (Command::Serve(c), "--threads") => c.threads = count(flag, v)?,
-            (Command::Serve(c), "--shards") => c.shards = count(flag, v)?,
             (Command::Serve(c), "--port-file") => c.port_file = Some(v.into()),
             (Command::Serve(c), "--log") => c.log = Some(v.into()),
             (Command::Campaign(o), "--out") => o.out = Some(v.into()),
@@ -1339,6 +1315,12 @@ mod tests {
         assert!(parse_args(&args(&["run", "imc", "--scenario", "/no/such/file.json"])).is_err());
         assert!(parse_args(&args(&["run", "imc", "--param", "noequals"])).is_err());
         assert!(parse_args(&args(&["run", "imc", "--param", "=3"])).is_err());
+        // Only the two named fidelities load; a `{"scale": x}` object does not.
+        std::fs::write(&path, r#"{"fidelity":{"scale":0.5}}"#).expect("writable tmp");
+        let err = parse_args(&args(&["run", "imc", "--scenario", &path_s]))
+            .err()
+            .expect("scale fidelity is a parse error");
+        assert!(err.contains("fidelity"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2091,8 +2073,6 @@ mod tests {
             "127.0.0.1:9000",
             "--threads",
             "4",
-            "--shards",
-            "8",
             "--port-file",
             "/tmp/p.txt",
             "--log",
@@ -2103,17 +2083,15 @@ mod tests {
         };
         assert_eq!(cfg.addr, "127.0.0.1:9000");
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.shards, 8);
         assert_eq!(cfg.port_file, Some(PathBuf::from("/tmp/p.txt")));
         assert_eq!(cfg.log, Some(PathBuf::from("/tmp/s.jsonl")));
-        // Defaults: ephemeral loopback port, standard shard count.
+        // Defaults: ephemeral loopback port.
         let Command::Serve(cfg) = parse_args(&args(&["serve"])).expect("parses") else {
             panic!("expected serve");
         };
         assert_eq!(cfg.addr, "127.0.0.1:0");
-        assert_eq!(cfg.shards, f2_core::serve::cache::SHARDS);
         assert!(parse_args(&args(&["serve", "--threads", "0"])).is_err());
-        assert!(parse_args(&args(&["serve", "--shards", "0"])).is_err());
+        assert!(parse_args(&args(&["serve", "--shards", "8"])).is_err());
         assert!(parse_args(&args(&["serve", "positional"])).is_err());
     }
 

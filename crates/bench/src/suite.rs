@@ -328,7 +328,7 @@ fn bench_core(h: &mut Harness, quick: bool, threads: usize) {
 }
 
 /// Serve: end-to-end service-level numbers over a live in-process server
-/// (loopback TCP, real HTTP parsing, batching dispatcher, sharded cache).
+/// (loopback TCP, real HTTP parsing, batching dispatcher, result cache).
 /// The cache is primed first, so both benchmarks measure the *service*
 /// path — parse, route, cache lookup, response write — not the experiment.
 ///
@@ -357,7 +357,6 @@ fn bench_serve(h: &mut Harness, cfg: &SuiteConfig) {
         flagship2::experiments::registry(),
         serve::ServeConfig {
             threads: cfg.threads.max(1),
-            shards: 8,
             ..serve::ServeConfig::default()
         },
     )

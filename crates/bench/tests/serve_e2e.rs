@@ -15,7 +15,6 @@ fn start_server() -> serve::ServerHandle {
         flagship2::experiments::registry(),
         serve::ServeConfig {
             threads: 2,
-            shards: 8,
             read_timeout: Duration::from_secs(10),
             ..serve::ServeConfig::default()
         },

@@ -17,11 +17,6 @@ use crate::json::{Json, ToJson};
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};
 
-/// Environment variable overriding the default number of measured samples
-/// per benchmark (`f2 bench --samples` wins over it). Invalid values are
-/// reported once on stderr and ignored, like `F2_EXEC_MIN_CHUNK`.
-pub const SAMPLES_ENV: &str = "F2_BENCH_SAMPLES";
-
 /// Opaque value barrier preventing the optimiser from deleting benchmarked
 /// work (re-export of [`std::hint::black_box`] under the familiar name).
 pub fn black_box<T>(value: T) -> T {
@@ -30,15 +25,9 @@ pub fn black_box<T>(value: T) -> T {
 
 /// Target wall time of one measured sample.
 const SAMPLE_TARGET: Duration = Duration::from_millis(5);
-/// Default number of measured samples per benchmark.
-const DEFAULT_SAMPLES: usize = 15;
-
-/// Resolves the default sample count: [`SAMPLES_ENV`] if set and a positive
-/// integer, otherwise [`DEFAULT_SAMPLES`]; always at least 3 so the median
-/// and p10 stay meaningful.
-pub fn samples_from_env() -> usize {
-    crate::exec::env_knob(SAMPLES_ENV, || DEFAULT_SAMPLES).max(3)
-}
+/// Default number of measured samples per benchmark (`f2 bench
+/// --samples` overrides it).
+pub const DEFAULT_SAMPLES: usize = 15;
 
 /// Top-level harness: owns the benchmark filter and collects results.
 pub struct Harness {
@@ -89,12 +78,12 @@ impl ToJson for Record {
 }
 
 impl Harness {
-    /// An unfiltered harness taking [`samples_from_env`] samples per
+    /// An unfiltered harness taking [`DEFAULT_SAMPLES`] samples per
     /// benchmark.
     pub fn new() -> Self {
         Self {
             filter: None,
-            samples: samples_from_env(),
+            samples: DEFAULT_SAMPLES,
             results: Vec::new(),
         }
     }

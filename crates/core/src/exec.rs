@@ -27,14 +27,10 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 //!
-//! Scheduler knobs, resolved once per [`Pool`] construction:
+//! The worker count is resolved once per [`Pool`] construction, from
 //! 1. the explicit `threads` argument of [`Pool::new`],
 //! 2. the `F2_THREADS` environment variable ([`Pool::from_env`]),
-//! 3. [`std::thread::available_parallelism`];
-//!
-//! plus `F2_EXEC_MIN_CHUNK` (smallest chunk the schedule may emit,
-//! default 1 — raise it when per-item work is tiny and claim overhead
-//! starts to show).
+//! 3. [`std::thread::available_parallelism`].
 //!
 //! When a [`trace`] session is live, every parallel call records
 //! `exec:worker` spans, `exec.steal.*` counters (calls, items, chunks,
@@ -46,14 +42,10 @@
 use crate::trace;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "F2_THREADS";
-
-/// Environment variable overriding the smallest chunk the adaptive
-/// schedule may emit (default 1).
-pub const MIN_CHUNK_ENV: &str = "F2_EXEC_MIN_CHUNK";
 
 /// How an `F2_THREADS` override string parsed. Split out of
 /// [`num_threads`] so every parse path is unit-testable without touching
@@ -69,8 +61,8 @@ pub enum ThreadsOverride {
     Invalid(String),
 }
 
-/// Parses the raw value of [`THREADS_ENV`] or [`MIN_CHUNK_ENV`] (pass
-/// `None` when unset) — both accept exactly a positive integer.
+/// Parses the raw value of [`THREADS_ENV`] (pass `None` when unset),
+/// which accepts exactly a positive integer.
 pub fn parse_threads_override(value: Option<&str>) -> ThreadsOverride {
     let Some(raw) = value else {
         return ThreadsOverride::Unset;
@@ -85,42 +77,26 @@ pub fn parse_threads_override(value: Option<&str>) -> ThreadsOverride {
     }
 }
 
-/// Resolves a positive-integer env knob, warning once per knob on an
-/// invalid value and falling back to `default`. Shared with
-/// [`crate::benchkit`] for `F2_BENCH_SAMPLES`.
-pub(crate) fn env_knob(var: &'static str, default: impl FnOnce() -> usize) -> usize {
-    match parse_threads_override(std::env::var(var).ok().as_deref()) {
-        ThreadsOverride::Threads(n) => n,
-        ThreadsOverride::Unset => default(),
-        ThreadsOverride::Invalid(raw) => {
-            static WARNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-            let mut warned = WARNED.lock().unwrap_or_else(|e| e.into_inner());
-            if !warned.contains(&var) {
-                warned.push(var);
-                eprintln!(
-                    "warning: ignoring invalid {var}={raw:?} \
-                     (expected a positive integer); using the default"
-                );
-            }
-            default()
-        }
-    }
-}
-
 /// Resolves the default worker count: `F2_THREADS` if set and positive,
 /// otherwise the machine's available parallelism (at least 1). An invalid
 /// override (`F2_THREADS=abc`, `=0`, `=-3`) is reported once on stderr and
 /// ignored rather than silently swallowed.
 pub fn num_threads() -> usize {
-    env_knob(THREADS_ENV, || {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    })
-}
-
-/// Resolves the minimum chunk size: `F2_EXEC_MIN_CHUNK` if set and
-/// positive, otherwise 1.
-fn min_chunk_from_env() -> usize {
-    env_knob(MIN_CHUNK_ENV, || 1)
+    let machine = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    match parse_threads_override(std::env::var(THREADS_ENV).ok().as_deref()) {
+        ThreadsOverride::Threads(n) => n,
+        ThreadsOverride::Unset => machine(),
+        ThreadsOverride::Invalid(raw) => {
+            static WARNED: Once = Once::new();
+            WARNED.call_once(|| {
+                eprintln!(
+                    "warning: ignoring invalid {THREADS_ENV}={raw:?} \
+                     (expected a positive integer); using the default"
+                );
+            });
+            machine()
+        }
+    }
 }
 
 thread_local! {
@@ -166,30 +142,25 @@ struct Chunk<'i, 'o, T, R> {
 }
 
 /// The deterministic adaptive chunk schedule for `len` items on `threads`
-/// workers: each chunk takes `ceil(remaining / (2 * threads))` items
-/// (clamped to at least `min_chunk`), so sizes shrink geometrically toward
-/// the tail. The schedule depends only on `(len, threads, min_chunk)` —
-/// never on timing — which keeps traces and tests reproducible; only the
-/// *assignment* of chunks to workers is dynamic.
-fn chunk_schedule(len: usize, threads: usize, min_chunk: usize) -> Vec<usize> {
+/// workers: each chunk takes `ceil(remaining / (2 * threads))` items, so
+/// sizes shrink geometrically toward the tail. The schedule depends only
+/// on `(len, threads)` — never on timing — which keeps traces and tests
+/// reproducible; only the *assignment* of chunks to workers is dynamic.
+fn chunk_schedule(len: usize, threads: usize) -> Vec<usize> {
     let mut sizes = Vec::new();
     let mut remaining = len;
     while remaining > 0 {
-        let size = remaining
-            .div_ceil(2 * threads)
-            .max(min_chunk)
-            .min(remaining);
+        let size = remaining.div_ceil(2 * threads);
         sizes.push(size);
         remaining -= size;
     }
     sizes
 }
 
-/// A work-stealing executor handle: a worker-count budget plus the
-/// adaptive-chunking policy. Copyable and cheap — it owns no threads;
-/// each parallel call runs on scoped workers that exit when the call
-/// returns, so a `Pool` can live in a context object for the whole
-/// process without holding resources.
+/// A work-stealing executor handle: a worker-count budget. Copyable and
+/// cheap — it owns no threads; each parallel call runs on scoped workers
+/// that exit when the call returns, so a `Pool` can live in a context
+/// object for the whole process without holding resources.
 ///
 /// All entry points guarantee **determinism**: for any pure `f`, results
 /// are bit-identical to the sequential loop, in input order, at any
@@ -198,7 +169,6 @@ fn chunk_schedule(len: usize, threads: usize, min_chunk: usize) -> Vec<usize> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
-    min_chunk: usize,
 }
 
 impl Default for Pool {
@@ -209,44 +179,26 @@ impl Default for Pool {
 }
 
 impl Pool {
-    /// A pool with exactly `threads` workers and the environment's
-    /// minimum chunk size (`F2_EXEC_MIN_CHUNK`, default 1).
+    /// A pool with exactly `threads` workers.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn new(threads: usize) -> Self {
-        Self::with_min_chunk(threads, min_chunk_from_env())
-    }
-
-    /// A pool with explicit worker count *and* minimum chunk size
-    /// (ignoring the environment) — for tests and callers that tuned the
-    /// schedule themselves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` or `min_chunk` is zero.
-    pub fn with_min_chunk(threads: usize, min_chunk: usize) -> Self {
         assert!(threads > 0, "need at least one worker thread");
-        assert!(min_chunk > 0, "need a positive minimum chunk size");
-        Self { threads, min_chunk }
+        Self { threads }
     }
 
     /// A pool sized from the environment: `F2_THREADS` workers (machine
-    /// parallelism when unset) and `F2_EXEC_MIN_CHUNK` chunking. Resolve
-    /// once and reuse — that is the whole point of the handle.
+    /// parallelism when unset). Resolve once and reuse — that is the
+    /// whole point of the handle.
     pub fn from_env() -> Self {
-        Self::with_min_chunk(num_threads(), min_chunk_from_env())
+        Self::new(num_threads())
     }
 
     /// The worker-thread budget.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The smallest chunk the adaptive schedule may emit.
-    pub fn min_chunk(&self) -> usize {
-        self.min_chunk
     }
 
     /// Maps `f` over `items` on the pool's self-scheduling workers.
@@ -273,7 +225,7 @@ impl Pool {
             let _span = trace::span("exec:inline");
             return items.iter().map(f).collect();
         }
-        let schedule = chunk_schedule(items.len(), self.threads, self.min_chunk);
+        let schedule = chunk_schedule(items.len(), self.threads);
         if self.threads == 1 || schedule.len() <= 1 {
             let _span = trace::span("exec:inline");
             let _guard = InPoolGuard::enter();
@@ -364,38 +316,19 @@ impl Pool {
             .map(|slot| slot.expect("every slot written by its chunk"))
             .collect()
     }
-
-    /// Runs `f` for every item on the pool, for side-effecting loops that
-    /// produce no per-item value. Same scheduling, determinism and panic
-    /// guarantees as [`Pool::map`].
-    pub fn for_each<T: Sync>(&self, items: &[T], f: impl Fn(&T) + Sync) {
-        self.map(items, f);
-    }
-
-    /// Runs `tasks` indexed closures (`f(0)..f(tasks-1)`) on the pool and
-    /// returns their results in index order — the task-parallel
-    /// counterpart of the data-parallel [`Pool::map`], with the same
-    /// work-stealing schedule, determinism and panic guarantees.
-    pub fn scope<R: Send>(&self, tasks: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        let indices: Vec<usize> = (0..tasks).collect();
-        self.map(&indices, |&i| f(i))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_preserves_order_at_any_width() {
         let items: Vec<u64> = (0..97).collect();
         let seq: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 8, 200] {
-            for min_chunk in [1, 4, 1000] {
-                let par = Pool::with_min_chunk(threads, min_chunk).map(&items, |&x| x * 3 + 1);
-                assert_eq!(par, seq, "threads={threads} min_chunk={min_chunk}");
-            }
+            let par = Pool::new(threads).map(&items, |&x| x * 3 + 1);
+            assert_eq!(par, seq, "threads={threads}");
         }
     }
 
@@ -403,23 +336,6 @@ mod tests {
     fn map_empty_input() {
         let out: Vec<u32> = Pool::new(4).map(&[] as &[u32], |&x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn for_each_visits_every_item() {
-        let count = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..1000).collect();
-        Pool::new(8).for_each(&items, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 1000);
-    }
-
-    #[test]
-    fn scope_returns_indexed_results_in_order() {
-        let out = Pool::new(4).scope(33, |i| i * i);
-        assert_eq!(out, (0..33).map(|i| i * i).collect::<Vec<_>>());
-        assert!(Pool::new(4).scope(0, |i| i).is_empty());
     }
 
     #[test]
@@ -453,12 +369,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive minimum chunk")]
-    fn zero_min_chunk_rejected() {
-        let _ = Pool::with_min_chunk(2, 0);
-    }
-
-    #[test]
     fn num_threads_is_positive() {
         assert!(num_threads() >= 1);
     }
@@ -467,7 +377,6 @@ mod tests {
     fn pool_from_env_is_default() {
         assert_eq!(Pool::from_env(), Pool::default());
         assert!(Pool::from_env().threads() >= 1);
-        assert!(Pool::from_env().min_chunk() >= 1);
     }
 
     #[test]
@@ -491,34 +400,21 @@ mod tests {
 
     #[test]
     fn chunk_schedule_covers_input_and_shrinks() {
-        for (len, threads, min_chunk) in [
-            (0, 4, 1),
-            (1, 4, 1),
-            (64, 4, 1),
-            (97, 3, 2),
-            (1000, 8, 1),
-            (10, 2, 64),
-        ] {
-            let sizes = chunk_schedule(len, threads, min_chunk);
+        for (len, threads) in [(0, 4), (1, 4), (64, 4), (97, 3), (1000, 8)] {
+            let sizes = chunk_schedule(len, threads);
             assert_eq!(sizes.iter().sum::<usize>(), len, "covers every index");
             // Geometric shrink: sizes are non-increasing.
             assert!(
                 sizes.windows(2).all(|w| w[0] >= w[1]),
                 "schedule must shrink toward the tail: {sizes:?}"
             );
-            // Every chunk except possibly the last honours min_chunk.
-            if let Some((_, head)) = sizes.split_last() {
-                assert!(head.iter().all(|&s| s >= min_chunk));
-            }
         }
-        // A min_chunk larger than the input collapses to one chunk.
-        assert_eq!(chunk_schedule(10, 2, 64), vec![10]);
     }
 
     #[test]
     fn nested_map_degrades_to_inline() {
         let session = trace::session();
-        let pool = Pool::with_min_chunk(4, 1);
+        let pool = Pool::new(4);
         let items: Vec<u64> = (0..16).collect();
         let out = pool.map(&items, |&x| {
             // Nested parallel call: must run inline on this worker, not
@@ -538,11 +434,11 @@ mod tests {
     fn map_emits_steal_probes_and_finite_imbalance() {
         let session = trace::session();
         let items: Vec<u64> = (0..64).collect();
-        let pool = Pool::with_min_chunk(4, 1);
+        let pool = Pool::new(4);
         let out = pool.map(&items, |&x| x + 1);
         assert_eq!(out.len(), 64);
         let report = session.finish();
-        let chunks = chunk_schedule(64, 4, 1).len() as u64;
+        let chunks = chunk_schedule(64, 4).len() as u64;
         assert_eq!(report.counter("exec.steal.calls"), 1);
         assert_eq!(report.counter("exec.steal.items"), 64);
         assert_eq!(report.counter("exec.steal.chunks"), chunks);
@@ -610,9 +506,7 @@ mod tests {
         let static_imbalance = if max > 0.0 { (max - min) / max } else { 0.0 };
 
         let session = trace::session();
-        Pool::with_min_chunk(THREADS, 1).for_each(&items, |&units| {
-            spin(units);
-        });
+        Pool::new(THREADS).map(&items, |&units| spin(units));
         let report = session.finish();
         let steal_imbalance = report.gauge("exec.chunk_imbalance").expect("gauge set");
 

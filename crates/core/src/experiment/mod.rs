@@ -39,7 +39,7 @@ pub mod render;
 
 use crate::json::{Json, ToJson};
 use crate::rng::ChaCha8Rng;
-use crate::scenario::{Fidelity, ParamValue, Scenario};
+use crate::scenario::{ParamValue, Scenario};
 use crate::{CoreError, Result};
 use std::fmt::Display;
 
@@ -186,11 +186,6 @@ impl ExperimentCtx {
         self.scenario.seed
     }
 
-    /// The run's fidelity axis.
-    pub fn fidelity(&self) -> Fidelity {
-        self.scenario.fidelity
-    }
-
     /// True when the run should trade fidelity for speed (CI smoke runs,
     /// golden snapshot tests). Quick mode must preserve every claim shape —
     /// only problem sizes shrink.
@@ -259,10 +254,8 @@ impl ExperimentCtx {
 
     /// The run's shared work-stealing executor ([`crate::exec::Pool`]),
     /// resolved once at context construction. Use it for every parallel
-    /// region: `ctx.exec().map(items, f)` for ordered data-parallel maps,
-    /// `for_each` for side-effecting loops, `scope` for indexed task
-    /// fan-out — all with bit-identical, input-ordered results at any
-    /// worker count.
+    /// region: `ctx.exec().map(items, f)` returns bit-identical,
+    /// input-ordered results at any worker count.
     pub fn exec(&self) -> &crate::exec::Pool {
         &self.pool
     }
@@ -576,6 +569,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Fidelity;
 
     struct Dummy {
         name: &'static str,

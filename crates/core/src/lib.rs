@@ -29,7 +29,7 @@
 //! [`trace`] (Chrome-trace spans plus the log-scale [`trace::Histogram`]
 //! behind serve's latency percentiles), [`serve`] (the batched experiment
 //! daemon with request-scoped observability — trace-ID propagation,
-//! `f2-serve-metrics-v2`, the `f2-serve-log-v1` access log, and the
+//! `f2-serve-metrics-v3`, the `f2-serve-log-v1` access log, and the
 //! `/debug/recent` flight recorder), [`exec`] (the work-stealing pool) and
 //! [`experiment`] (registry + golden-KPI plumbing).
 

@@ -397,7 +397,7 @@ mod tests {
         let space = DesignSpace::new().axis("x", (0..13).map(f64::from));
         let eval = |p: &ParamPoint| vec![p["x"], 100.0 - p["x"]];
         let seq = space.sweep(&MIN2, eval);
-        let pool = crate::exec::Pool::with_min_chunk(3, 1);
+        let pool = crate::exec::Pool::new(3);
         let par = space.sweep_with(&MIN2, &pool, eval);
         assert_eq!(par.objectives(), seq.objectives());
         assert_eq!(par.front(), seq.front());

@@ -20,27 +20,21 @@
 //!   size or the SCF core count are expressible as data.
 //!
 //! Invariants enforced by every constructor and by [`Scenario::from_json`]:
-//! numeric params and custom fidelity scales are finite (NaN/inf would
-//! encode as JSON `null` and break the round-trip), `-0.0` is normalised
-//! to `0.0` (they compare equal but have different bit patterns, which
-//! would break `Eq`/`Hash` consistency), params are unique and key-sorted,
-//! and `threads >= 1`.
+//! numeric params are finite (NaN/inf would encode as JSON `null` and
+//! break the round-trip), `-0.0` is normalised to `0.0` (they compare
+//! equal but have different bit patterns, which would break `Eq`/`Hash`
+//! consistency), params are unique and key-sorted, and `threads >= 1`.
 
 use crate::json::{Json, ToJson};
 
 /// The fidelity axis of a run: the problem-size knob experiments consult.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Reduced problem sizes, every claim shape preserved — the fidelity
     /// CI and the golden snapshots pin.
     Quick,
     /// Full problem sizes (the numbers recorded in `EXPERIMENTS.md`).
     Full,
-    /// A custom scale factor relative to full fidelity. Experiments that
-    /// honour it treat `scale < 1` as a shrink and `scale > 1` as a
-    /// stretch; the common param accessors do not apply it implicitly.
-    /// Always finite and strictly positive.
-    Scale(f64),
 }
 
 impl Fidelity {
@@ -53,7 +47,6 @@ impl Fidelity {
         match self {
             Fidelity::Quick => "quick".to_json(),
             Fidelity::Full => "full".to_json(),
-            Fidelity::Scale(s) => Json::Obj(vec![("scale".to_string(), Json::Num(s))]),
         }
     }
 
@@ -61,16 +54,7 @@ impl Fidelity {
         match value {
             Json::Str(s) if s == "quick" => Ok(Fidelity::Quick),
             Json::Str(s) if s == "full" => Ok(Fidelity::Full),
-            Json::Obj(members) => {
-                if members.len() != 1 || members[0].0 != "scale" {
-                    return Err("fidelity object must have exactly one member `scale`".into());
-                }
-                match members[0].1.as_f64() {
-                    Some(s) if s.is_finite() && s > 0.0 => Ok(Fidelity::Scale(s)),
-                    _ => Err("fidelity `scale` must be a finite number > 0".into()),
-                }
-            }
-            _ => Err("fidelity must be \"quick\", \"full\" or {\"scale\": x}".into()),
+            _ => Err("fidelity must be \"quick\" or \"full\"".into()),
         }
     }
 
@@ -78,10 +62,6 @@ impl Fidelity {
         match self {
             Fidelity::Quick => eat(&[0]),
             Fidelity::Full => eat(&[1]),
-            Fidelity::Scale(s) => {
-                eat(&[2]);
-                eat(&s.to_bits().to_le_bytes());
-            }
         }
     }
 }
@@ -170,8 +150,8 @@ pub struct Scenario {
     params: Vec<(String, ParamValue)>,
 }
 
-// Safe: `ParamValue` and `Fidelity` exclude NaN, the one PartialEq edge
-// case, so equality is a genuine equivalence relation.
+// Safe: `ParamValue` excludes NaN, the one PartialEq edge case, so
+// equality is a genuine equivalence relation.
 impl Eq for Scenario {}
 
 impl std::hash::Hash for Scenario {
@@ -195,16 +175,9 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if `threads` is zero or a custom fidelity scale is not
-    /// finite and positive.
+    /// Panics if `threads` is zero.
     pub fn new(seed: u64, fidelity: Fidelity, threads: usize) -> Self {
         assert!(threads > 0, "scenario needs at least one thread");
-        if let Fidelity::Scale(s) = fidelity {
-            assert!(
-                s.is_finite() && s > 0.0,
-                "fidelity scale must be finite and > 0, got {s}"
-            );
-        }
         Self {
             seed,
             fidelity,
@@ -454,8 +427,7 @@ mod tests {
             ("{\"seed\":\"nope\"}", "not a u64"),
             ("{\"threads\":0}", "`threads`"),
             ("{\"fidelity\":\"fast\"}", "fidelity"),
-            ("{\"fidelity\":{\"scale\":0}}", "scale"),
-            ("{\"fidelity\":{\"scale\":1,\"x\":2}}", "exactly one member"),
+            ("{\"fidelity\":{\"scale\":0.5}}", "fidelity"),
             ("{\"params\":[1]}", "`params`"),
             ("{\"params\":{\"a\":null}}", "param `a`"),
             ("{\"params\":{\"a\":1,\"a\":2}}", "duplicate param"),
@@ -472,7 +444,6 @@ mod tests {
         let variants = [
             Scenario::new(2, Fidelity::Quick, 1),
             Scenario::new(1, Fidelity::Full, 1),
-            Scenario::new(1, Fidelity::Scale(0.5), 1),
             Scenario::new(1, Fidelity::Quick, 2),
             base.clone().with_param("x", ParamValue::Num(1.0)),
             base.clone().with_param("x", ParamValue::Num(2.0)),
@@ -503,10 +474,9 @@ mod tests {
     /// (quotes, backslashes, control characters, non-ASCII) and extreme
     /// numeric values.
     fn arbitrary_scenario(g: &mut Gen) -> Scenario {
-        let fidelity = match g.usize_in(0..3) {
+        let fidelity = match g.usize_in(0..2) {
             0 => Fidelity::Quick,
-            1 => Fidelity::Full,
-            _ => Fidelity::Scale(g.f64_in(1e-6, 1e6)),
+            _ => Fidelity::Full,
         };
         let mut s = Scenario::new(g.u64(), fidelity, g.usize_in(1..257));
         for _ in 0..g.usize_in(0..7) {

@@ -4,25 +4,16 @@
 //! executor guarantees bit-identical reports at any thread count, and
 //! every draw of randomness is derived from the scenario's seed — so a
 //! completed response body can be replayed verbatim for any later request
-//! with the same key, including fully parameterized scenarios. The cache
-//! shards its map [`SHARDS`]-ways by a deterministic FNV-1a hash of the
-//! key (built on [`crate::scenario::Scenario::content_hash`]), so
-//! concurrent lookups from the connection handlers and the batch
-//! dispatcher contend on different mutexes instead of one global lock.
-//!
-//! Every lookup bumps a hit or miss counter (per shard, aggregated on
-//! read) and mirrors the event into the [`crate::trace`] metrics stream
-//! as `serve.cache.hit` / `serve.cache.miss` counters — zero-cost when no
-//! trace session is live.
+//! with the same key, including fully parameterized scenarios. Every
+//! lookup and insert runs on the server's one dispatcher thread, so the
+//! map sits behind a single mutex; connection handlers only read the
+//! counts for `/metrics`. Every lookup bumps a hit or miss counter. The
+//! cache is unbounded.
 
 use crate::scenario::Scenario;
-use crate::trace;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Default shard count of the server's cache.
-pub const SHARDS: usize = 16;
 
 /// The identity of one experiment run: everything that influences the
 /// response body.
@@ -34,80 +25,38 @@ pub struct CacheKey {
     pub scenario: Scenario,
 }
 
-impl CacheKey {
-    /// Deterministic FNV-1a hash over all fields — the shard selector.
-    /// Built on the scenario's stable content hash (same FNV-1a family)
-    /// instead of [`std::hash::DefaultHasher`] so shard assignment is
-    /// stable across processes and runs.
-    pub fn fnv1a(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(self.experiment.len() + 9);
-        bytes.extend_from_slice(self.experiment.as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&self.scenario.content_hash().to_le_bytes());
-        crate::rng::fnv1a(&bytes)
-    }
-}
-
-struct Shard<V> {
+/// A content-addressed map from [`CacheKey`] to a cached value (the
+/// server stores the encoded response body), with lookup counters.
+pub struct ResultCache<V> {
     map: Mutex<HashMap<CacheKey, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// A mutex-striped, content-addressed map from [`CacheKey`] to a cached
-/// value (the server stores the encoded response body).
-pub struct ShardedCache<V> {
-    shards: Vec<Shard<V>>,
+impl<V> Default for ResultCache<V> {
+    fn default() -> Self {
+        Self {
+            map: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
 }
 
-impl<V: Clone> ShardedCache<V> {
-    /// A cache striped across `shards` mutexes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "need at least one cache shard");
-        Self {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    map: Mutex::new(HashMap::new()),
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                })
-                .collect(),
-        }
+impl<V: Clone> ResultCache<V> {
+    fn map(&self) -> std::sync::MutexGuard<'_, HashMap<CacheKey, V>> {
+        self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, key: &CacheKey) -> &Shard<V> {
-        &self.shards[(key.fnv1a() % self.shards.len() as u64) as usize]
-    }
-
-    /// Looks the key up, counting the outcome (shard counters plus the
-    /// `serve.cache.hit`/`serve.cache.miss` trace counters).
+    /// Looks the key up, counting the outcome.
     pub fn get(&self, key: &CacheKey) -> Option<V> {
-        let shard = self.shard(key);
-        let found = shard
-            .map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .cloned();
-        match &found {
-            Some(_) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                trace::counter("serve.cache.hit", 1);
-            }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                trace::counter("serve.cache.miss", 1);
-            }
-        }
+        let found = self.map().get(key).cloned();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
@@ -116,9 +65,7 @@ impl<V: Clone> ShardedCache<V> {
     /// must have produced an identical value). Returns whether the value
     /// was newly inserted. Not counted as a lookup.
     pub fn insert(&self, key: CacheKey, value: V) -> bool {
-        let shard = self.shard(&key);
-        let mut map = shard.map.lock().unwrap_or_else(|e| e.into_inner());
-        match map.entry(key) {
+        match self.map().entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(slot) => {
                 slot.insert(value);
@@ -127,26 +74,9 @@ impl<V: Clone> ShardedCache<V> {
         }
     }
 
-    /// Counted lookup, then on a miss computes the value *outside* the
-    /// shard lock and inserts it (first write wins). Returns the stored
-    /// value and whether the lookup hit.
-    pub fn get_or_compute(&self, key: &CacheKey, compute: impl FnOnce() -> V) -> (V, bool) {
-        if let Some(v) = self.get(key) {
-            return (v, true);
-        }
-        let value = compute();
-        let shard = self.shard(key);
-        let mut map = shard.map.lock().unwrap_or_else(|e| e.into_inner());
-        let stored = map.entry(key.clone()).or_insert(value);
-        (stored.clone(), false)
-    }
-
-    /// Total cached entries across all shards.
+    /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.map.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        self.map().len()
     }
 
     /// Whether no entry is cached.
@@ -154,24 +84,18 @@ impl<V: Clone> ShardedCache<V> {
         self.len() == 0
     }
 
-    /// Total counted lookups that hit, across all shards.
+    /// Counted lookups that hit.
     pub fn hits(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.hits.load(Ordering::Relaxed))
-            .sum()
+        self.hits.load(Ordering::Relaxed)
     }
 
-    /// Total counted lookups that missed, across all shards.
+    /// Counted lookups that missed.
     pub fn misses(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.misses.load(Ordering::Relaxed))
-            .sum()
+        self.misses.load(Ordering::Relaxed)
     }
 
     /// Fraction of counted lookups that hit (`0.0` before any lookup) —
-    /// the `cache.hit_rate` member of the v2 metrics document.
+    /// the `cache.hit_rate` member of the metrics document.
     pub fn hit_rate(&self) -> f64 {
         let hits = self.hits();
         let total = hits + self.misses();
@@ -188,7 +112,6 @@ mod tests {
     use super::*;
     use crate::exec::Pool;
     use crate::scenario::Fidelity;
-    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     fn key(experiment: &str, seed: u64) -> CacheKey {
@@ -204,18 +127,12 @@ mod tests {
 
     /// A deterministic stand-in for an encoded report body.
     fn body_for(k: &CacheKey) -> Vec<u8> {
-        format!(
-            "{}/{}:{:016x}",
-            k.experiment,
-            k.scenario.encode_canonical(),
-            k.fnv1a()
-        )
-        .into_bytes()
+        format!("{}/{}", k.experiment, k.scenario.encode_canonical()).into_bytes()
     }
 
     #[test]
     fn get_insert_and_counters() {
-        let cache: ShardedCache<Arc<Vec<u8>>> = ShardedCache::new(4);
+        let cache: ResultCache<Arc<Vec<u8>>> = ResultCache::default();
         assert_eq!(cache.hit_rate(), 0.0, "no lookups yet");
         let k = key("demo", 7);
         assert!(cache.get(&k).is_none());
@@ -233,7 +150,7 @@ mod tests {
     #[test]
     fn distinct_key_fields_are_distinct_entries() {
         use crate::scenario::ParamValue;
-        let cache: ShardedCache<u32> = ShardedCache::new(4);
+        let cache: ResultCache<u32> = ResultCache::default();
         let base = key("demo", 1);
         let quick_off = scenario_key("demo", Scenario::new(1, Fidelity::Full, 1));
         let more_threads = scenario_key("demo", Scenario::new(1, Fidelity::Quick, 8));
@@ -254,50 +171,25 @@ mod tests {
         assert_eq!(cache.get(&with_param), Some(4));
     }
 
-    #[test]
-    fn keys_spread_across_shards() {
-        let cache: ShardedCache<u64> = ShardedCache::new(8);
-        let mut used = std::collections::HashSet::new();
-        for i in 0..64 {
-            let k = key(&format!("exp{i}"), i);
-            used.insert((k.fnv1a() % 8) as usize);
-            cache.insert(k, i);
-        }
-        assert!(
-            used.len() >= 4,
-            "FNV should spread 64 keys over most of 8 shards, got {}",
-            used.len()
-        );
-        assert_eq!(cache.len(), 64);
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        // Pinned value: shard assignment must never change silently
-        // between runs or builds (it is observable in the metrics).
-        let k = key("fig1_landscape", 0);
-        assert_eq!(k.fnv1a(), key("fig1_landscape", 0).fnv1a());
-        assert_ne!(k.fnv1a(), key("fig1_landscape", 1).fnv1a());
-    }
-
-    /// The ISSUE's cache acceptance test: parallel Pool-driven hammering
-    /// of identical and distinct keys yields bit-identical cached vs
-    /// freshly-computed values, and the hit/miss totals add up to exactly
-    /// the number of counted lookups.
+    /// Parallel Pool-driven hammering of identical and distinct keys
+    /// yields bit-identical cached vs freshly-computed values, and the
+    /// hit/miss totals add up to exactly the number of counted lookups.
     #[test]
     fn parallel_hammer_is_bit_identical_and_counts_add_up() {
         const LOOKUPS: usize = 512;
         const DISTINCT: usize = 48;
-        let cache: Arc<ShardedCache<Arc<Vec<u8>>>> = Arc::new(ShardedCache::new(8));
+        let cache: ResultCache<Arc<Vec<u8>>> = ResultCache::default();
         let computed = AtomicU64::new(0);
         let pool = Pool::new(8);
         let lookups: Vec<usize> = (0..LOOKUPS).collect();
-        pool.for_each(&lookups, |&i| {
+        pool.map(&lookups, |&i| {
             // 48 distinct keys, each hammered ~10x concurrently.
             let k = key(&format!("exp{}", i % 12), (i % DISTINCT / 12) as u64);
-            let (v, _hit) = cache.get_or_compute(&k, || {
+            let v = cache.get(&k).unwrap_or_else(|| {
                 computed.fetch_add(1, Ordering::Relaxed);
-                Arc::new(body_for(&k))
+                let fresh = Arc::new(body_for(&k));
+                cache.insert(k.clone(), Arc::clone(&fresh));
+                fresh
             });
             // Bit-identical regardless of whether this lookup computed,
             // raced another compute, or hit the cache.
@@ -318,32 +210,11 @@ mod tests {
         assert!(computed.load(Ordering::Relaxed) >= DISTINCT as u64);
         // A second full pass over every key is 100% hits.
         let before_hits = cache.hits();
-        pool.for_each(&lookups, |&i| {
+        pool.map(&lookups, |&i| {
             let k = key(&format!("exp{}", i % 12), (i % DISTINCT / 12) as u64);
-            let (v, hit) = cache.get_or_compute(&k, || unreachable!("must be cached"));
-            assert!(hit);
+            let v = cache.get(&k).expect("must be cached");
             assert_eq!(*v, body_for(&k));
         });
         assert_eq!(cache.hits(), before_hits + LOOKUPS as u64);
-    }
-
-    #[test]
-    fn trace_counters_mirror_lookups() {
-        let session = crate::trace::session();
-        let cache: ShardedCache<u8> = ShardedCache::new(2);
-        let k = key("demo", 3);
-        assert!(cache.get(&k).is_none());
-        cache.insert(k.clone(), 1);
-        assert_eq!(cache.get(&k), Some(1));
-        assert_eq!(cache.get(&k), Some(1));
-        let report = session.finish();
-        assert_eq!(report.counter("serve.cache.hit"), 2);
-        assert_eq!(report.counter("serve.cache.miss"), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cache shard")]
-    fn zero_shards_rejected() {
-        let _ = ShardedCache::<u8>::new(0);
     }
 }

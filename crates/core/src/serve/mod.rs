@@ -8,7 +8,7 @@
 //!   [`std::net::TcpListener`] — request line + headers +
 //!   `Content-Length` bodies, keep-alive connections, hard input limits,
 //!   every malformed input answered with a clean 4xx;
-//! * a content-addressed, mutex-striped result cache ([`cache`]) keyed by
+//! * a content-addressed result cache ([`cache`]) keyed by
 //!   `(experiment, scenario)` via the scenario's stable content hash —
 //!   runs are pure functions of their [`crate::scenario::Scenario`], so
 //!   repeated queries are O(lookup) and responses are byte-identical
@@ -50,7 +50,7 @@ use crate::experiment::{ExperimentCtx, Registry};
 use crate::json::{Json, ToJson};
 use crate::scenario::Scenario;
 use crate::trace;
-use cache::{CacheKey, ShardedCache};
+use cache::{CacheKey, ResultCache};
 use http::{Request, Response};
 
 use std::collections::BTreeMap;
@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 /// Identifies the JSON layout of a `/run` response body.
 pub const RUN_SCHEMA: &str = "f2-serve-v1";
 /// Identifies the JSON layout of the `/metrics` document.
-pub const METRICS_SCHEMA: &str = "f2-serve-metrics-v2";
+pub const METRICS_SCHEMA: &str = "f2-serve-metrics-v3";
 /// Identifies the JSON layout of one access-log / flight-recorder record.
 pub const LOG_SCHEMA: &str = "f2-serve-log-v1";
 /// Request/response header carrying the request-scoped trace id.
@@ -105,8 +105,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads of the batch-execution pool.
     pub threads: usize,
-    /// Shard count of the result cache.
-    pub shards: usize,
     /// When set, the bound `host:port` is written here after bind — how
     /// scripts discover an ephemeral port.
     pub port_file: Option<PathBuf>,
@@ -125,7 +123,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             threads: crate::exec::num_threads(),
-            shards: cache::SHARDS,
             port_file: None,
             read_timeout: Duration::from_secs(30),
             log: None,
@@ -291,17 +288,14 @@ struct Stats {
 /// One queued `/run` awaiting the dispatcher.
 struct Job {
     key: CacheKey,
-    /// The request's trace id, carried through the dispatcher so batch
-    /// execution spans can be annotated with it.
-    trace_id: String,
     /// When the job entered the queue (queue-latency measurement).
     enqueued: Instant,
     reply: mpsc::Sender<Reply>,
 }
 
-/// A request waiting on a coalesced miss: its reply channel, queue
-/// latency, and trace id.
-type Waiter = (mpsc::Sender<Reply>, f64, String);
+/// A request waiting on a coalesced miss: its reply channel and queue
+/// latency.
+type Waiter = (mpsc::Sender<Reply>, f64);
 
 /// What the dispatcher hands back to a waiting connection handler.
 #[derive(Clone)]
@@ -320,7 +314,7 @@ struct Reply {
 struct Shared {
     registry: Registry,
     pool: Pool,
-    cache: ShardedCache<Arc<Vec<u8>>>,
+    cache: ResultCache<Arc<Vec<u8>>>,
     queue: Mutex<Vec<Job>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
@@ -417,10 +411,9 @@ pub fn start(registry: Registry, config: ServeConfig) -> std::io::Result<ServerH
         None => None,
     };
     eprintln!(
-        "f2 serve: listening on {addr} ({} experiment(s), {} pool worker(s), {} cache shard(s){})",
+        "f2 serve: listening on {addr} ({} experiment(s), {} pool worker(s){})",
         registry.entries().len(),
         config.threads,
-        config.shards,
         match &config.log {
             Some(path) => format!(", access log {}", path.display()),
             None => String::new(),
@@ -429,7 +422,7 @@ pub fn start(registry: Registry, config: ServeConfig) -> std::io::Result<ServerH
     let shared = Arc::new(Shared {
         registry,
         pool: Pool::new(config.threads),
-        cache: ShardedCache::new(config.shards),
+        cache: ResultCache::default(),
         queue: Mutex::new(Vec::new()),
         queue_cv: Condvar::new(),
         shutdown: AtomicBool::new(false),
@@ -501,7 +494,6 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         match http::parse_request(&mut reader) {
             Ok(req) => {
                 shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                trace::counter("serve.request", 1);
                 let resp = route(&req, shared);
                 let class = match resp.status {
                     200..=299 => &shared.stats.responses_2xx,
@@ -680,7 +672,6 @@ fn metrics(shared: &Shared) -> Response {
         (
             "cache".to_string(),
             Json::Obj(vec![
-                ("shards".to_string(), shared.cache.shards().to_json()),
                 ("entries".to_string(), shared.cache.len().to_json()),
                 ("hits".to_string(), shared.cache.hits().to_json()),
                 ("misses".to_string(), shared.cache.misses().to_json()),
@@ -803,9 +794,8 @@ fn run_request(req: &Request, shared: &Arc<Shared>) -> Response {
         }
     };
     let experiment = key.experiment.clone();
-    let scenario_hash = format!("{:016x}", key.scenario.content_hash());
+    let scenario_hash = key.scenario.content_hash_hex();
     shared.stats.runs.fetch_add(1, Ordering::Relaxed);
-    let _span = trace::span("serve.run");
     let (tx, rx) = mpsc::channel();
     {
         let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -816,7 +806,6 @@ fn run_request(req: &Request, shared: &Arc<Shared>) -> Response {
         }
         queue.push(Job {
             key,
-            trace_id: trace_id.clone(),
             enqueued: Instant::now(),
             reply: tx,
         });
@@ -886,10 +875,9 @@ fn dispatch_loop(shared: &Arc<Shared>) {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .observe(batch.len() as f64);
-        trace::counter("serve.batch", 1);
 
         // Hits answer immediately; misses coalesce per key, each waiter
-        // keeping its own queue latency and trace id.
+        // keeping its own queue latency.
         let mut pending: Vec<(CacheKey, Vec<Waiter>)> = Vec::new();
         for job in batch {
             let queue_ms = ms(drained.saturating_duration_since(job.enqueued));
@@ -902,7 +890,7 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                     run_ms: 0.0,
                 });
             } else {
-                let waiter = (job.reply, queue_ms, job.trace_id);
+                let waiter = (job.reply, queue_ms);
                 match pending.iter_mut().find(|(key, _)| *key == job.key) {
                     Some((_, waiters)) => waiters.push(waiter),
                     None => pending.push((job.key, vec![waiter])),
@@ -912,14 +900,7 @@ fn dispatch_loop(shared: &Arc<Shared>) {
         if pending.is_empty() {
             continue;
         }
-        // Each coalesced run is annotated with the trace id of the first
-        // waiter — the request that caused the computation.
-        let runs: Vec<(CacheKey, String)> = pending
-            .iter()
-            .map(|(key, waiters)| (key.clone(), waiters[0].2.clone()))
-            .collect();
-        let results = shared.pool.map(&runs, |(key, trace_id)| {
-            let _span = trace::span(&format!("serve.exec:{trace_id}"));
+        let results = shared.pool.map(&pending, |(key, _)| {
             let started = Instant::now();
             (run_experiment(&shared.registry, key), ms(started.elapsed()))
         });
@@ -948,7 +929,7 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                     run_ms,
                 },
             };
-            for (waiter, queue_ms, _trace_id) in waiters {
+            for (waiter, queue_ms) in waiters {
                 let _ = waiter.send(Reply {
                     queue_ms,
                     ..reply.clone()
@@ -1063,7 +1044,6 @@ mod tests {
             registry,
             ServeConfig {
                 threads: 2,
-                shards: 4,
                 read_timeout: Duration::from_secs(5),
                 ..ServeConfig::default()
             },
@@ -1132,7 +1112,7 @@ mod tests {
             doc.get("schema").and_then(Json::as_str),
             Some(METRICS_SCHEMA)
         );
-        assert!(doc.get("cache").and_then(|c| c.get("shards")).is_some());
+        assert!(doc.get("cache").and_then(|c| c.get("entries")).is_some());
         server.join().expect("clean join");
     }
 
@@ -1317,6 +1297,22 @@ mod tests {
             assert!(parse_body(&resp).get("error").is_some());
         }
 
+        // Fidelity is "quick" or "full"; a `{"scale": x}` object is
+        // refused, and the refusal echoes the client's trace id.
+        let mut client = connect(addr);
+        let resp = traced_request(
+            &mut client,
+            "POST",
+            "/run",
+            "scale-id",
+            br#"{"experiment":"echo_seed","scenario":{"fidelity":{"scale":0.5}}}"#,
+        );
+        assert_eq!(resp.status, 400);
+        assert_eq!(resp.header("x-f2-trace-id"), Some("scale-id"));
+        let doc = parse_body(&resp);
+        let error = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(error.contains("fidelity"), "{error}");
+
         assert_eq!(roundtrip(addr, "GET", "/run", b"").status, 405);
         assert_eq!(roundtrip(addr, "PATCH", "/healthz", b"").status, 405);
         assert_eq!(roundtrip(addr, "GET", "/nope", b"").status, 404);
@@ -1418,7 +1414,6 @@ mod tests {
             ServeConfig {
                 port_file: Some(path.clone()),
                 threads: 1,
-                shards: 2,
                 ..ServeConfig::default()
             },
         )
@@ -1552,7 +1547,7 @@ mod tests {
         let metrics = parse_body(&roundtrip(addr, "GET", "/metrics", b""));
         assert_eq!(
             metrics.get("schema").and_then(Json::as_str),
-            Some("f2-serve-metrics-v2")
+            Some(METRICS_SCHEMA)
         );
         // Latency histograms: every /run shows up under its experiment.
         let latency = metrics.get("latency_ms").expect("latency block");
@@ -1608,7 +1603,6 @@ mod tests {
             registry,
             ServeConfig {
                 threads: 2,
-                shards: 4,
                 read_timeout: Duration::from_secs(5),
                 log: Some(path.clone()),
                 ..ServeConfig::default()

@@ -91,11 +91,6 @@ impl<T> Tensor<T> {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the flat data.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     fn flat_index(&self, idx: &[usize]) -> usize {
         debug_assert_eq!(idx.len(), self.shape.len(), "index rank mismatch");
         let mut flat = 0;
@@ -206,16 +201,6 @@ impl Matrix {
     pub fn row(&self, r: usize) -> &[f64] {
         assert!(r < self.rows, "row {r} out of bounds ({})", self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutable borrow of one row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        assert!(r < self.rows, "row {r} out of bounds ({})", self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Flat row-major view.

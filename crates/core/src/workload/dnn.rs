@@ -157,11 +157,6 @@ impl Layer {
         &self.kind
     }
 
-    /// Input spatial dimensions `(height, width)`.
-    pub fn in_dims(&self) -> (usize, usize) {
-        (self.in_height, self.in_width)
-    }
-
     /// Output spatial dimensions `(height, width)`.
     pub fn out_dims(&self) -> (usize, usize) {
         match &self.kind {

@@ -197,13 +197,11 @@ f2_core::ptest! {
 
     /// `Pool::map` equals the sequential map — same values, same order —
     /// under adversarial per-item runtimes (uniform, front-loaded,
-    /// back-loaded, single hot item) at arbitrary thread counts and
-    /// minimum chunk sizes. The stealing schedule must never reorder,
-    /// drop or duplicate results.
+    /// back-loaded, single hot item) at arbitrary thread counts. The
+    /// stealing schedule must never reorder, drop or duplicate results.
     fn pool_map_matches_sequential_under_skew(g) {
         let len = g.usize_in(0..65);
         let threads = g.usize_in(1..10);
-        let min_chunk = g.usize_in(1..5);
         let profile = g.usize_in(0..4);
         let hot = g.usize_in(0..len.max(1));
         let items: Vec<u64> = (0..len as u64).collect();
@@ -217,9 +215,9 @@ f2_core::ptest! {
         };
         let f = |&x: &u64| weighted_work(x, weight(x as usize));
         let sequential: Vec<u64> = items.iter().map(f).collect();
-        let pool = Pool::with_min_chunk(threads, min_chunk);
+        let pool = Pool::new(threads);
         assert_eq!(pool.map(&items, f), sequential,
-            "threads={threads} min_chunk={min_chunk} profile={profile}");
+            "threads={threads} profile={profile}");
     }
 
     /// A panic at an arbitrary item must propagate out of `Pool::map` at
@@ -229,7 +227,7 @@ f2_core::ptest! {
         let threads = g.usize_in(1..9);
         let poison = g.usize_in(0..48);
         let items: Vec<usize> = (0..48).collect();
-        let pool = Pool::with_min_chunk(threads, 1);
+        let pool = Pool::new(threads);
         let result = std::panic::catch_unwind(|| {
             pool.map(&items, |&x| {
                 assert!(x != poison, "synthetic worker failure");

@@ -27,16 +27,6 @@ pub struct ConstraintSpec {
 }
 
 impl ConstraintSpec {
-    /// Typical synthesis-vendor limits: runs ≤ 3, GC in 40–60 % per 50-mer.
-    pub fn synthesis_default() -> Self {
-        Self {
-            max_homopolymer: 3,
-            gc_min: 0.40,
-            gc_max: 0.60,
-            gc_window: 50,
-        }
-    }
-
     /// Checks a strand; returns the first violation found.
     ///
     /// # Errors

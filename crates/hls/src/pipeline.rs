@@ -127,11 +127,6 @@ impl ModuloSchedule {
         self.latency
     }
 
-    /// Steady-state throughput in iterations per cycle.
-    pub fn iterations_per_cycle(&self) -> f64 {
-        1.0 / self.ii as f64
-    }
-
     /// Cycles to run `n` iterations (fill + steady state).
     pub fn total_cycles(&self, n: u64) -> u64 {
         if n == 0 {

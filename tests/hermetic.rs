@@ -6,8 +6,16 @@
 //! property the whole CI pipeline is built on. If you are reading this
 //! because the test failed: the fix is to extend `f2-core`, not to add the
 //! external crate.
+//!
+//! The same file pins the environment variables the sources read, so a
+//! new one cannot slip in beside a flag that already does its job.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
+
+/// Every environment variable the workspace reads. None has a flag that
+/// does the same job.
+const ENV_VARS: &[&str] = &["F2_BLESS", "F2_PTEST_CASES", "F2_PTEST_SEED", "F2_THREADS"];
 
 /// Manifest sections whose entries are dependencies.
 const DEP_SECTIONS: &[&str] = &[
@@ -144,5 +152,45 @@ fn guard_catches_this_workspace_if_it_regresses() {
     assert!(
         deps.iter().filter(|(_, n)| n.starts_with("f2-")).count() >= 7,
         "root manifest should declare the seven f2-* crates, got {deps:?}"
+    );
+}
+
+/// The `F2_` names that open a string literal in one source text.
+fn env_var_literals(text: &str) -> Vec<&str> {
+    text.match_indices("\"F2")
+        .map(|(i, _)| {
+            let name = &text[i + 1..];
+            let end = name
+                .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+                .unwrap_or(name.len());
+            &name[..end]
+        })
+        .filter(|name| name.strip_prefix("F2").is_some_and(|r| r.starts_with('_')))
+        .collect()
+}
+
+#[test]
+fn sources_read_only_the_pinned_environment_variables() {
+    let root = workspace_root();
+    let mut pending: Vec<PathBuf> = ["crates", "src", "tests", "examples"]
+        .iter()
+        .map(|dir| root.join(dir))
+        .collect();
+    let mut found = BTreeSet::new();
+    while let Some(path) = pending.pop() {
+        if path.is_dir() {
+            for entry in std::fs::read_dir(&path).expect("readable dir") {
+                pending.push(entry.expect("readable dir entry").path());
+            }
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            found.extend(env_var_literals(&text).into_iter().map(str::to_string));
+        }
+    }
+    let want: BTreeSet<String> = ENV_VARS.iter().map(|v| v.to_string()).collect();
+    assert_eq!(
+        found, want,
+        "the sources spell a different set of environment variables than \
+         ENV_VARS; prefer a flag to a new variable"
     );
 }
