@@ -101,13 +101,15 @@ stage_style() {
 # Experiment smoke: run the whole registry at quick fidelity on 1, 2 and
 # 8 worker threads and pipe each pass's KPI reports through the golden
 # comparator (tests/golden/*.json): the reports must be bit-identical at
-# every width. The sparse-dataflow explorer is additionally gated alone,
-# by name, so a registry wiring regression cannot silently drop it from
-# `all`.
+# every width. The whole registry is also pinned at full fidelity
+# (tests/golden/full). The sparse-dataflow explorer is additionally gated
+# alone, by name, so a registry wiring regression cannot silently drop it
+# from `all`.
 stage_golden() {
     for threads in 1 2 8; do
         run bash -c "$F2 run all --quick --json --threads $threads | $F2 check"
     done
+    run bash -c "$F2 run all --json --threads 2 | $F2 check --golden tests/golden/full"
     run bash -c "$F2 run hls/spdataflow --quick --json | $F2 check"
 }
 

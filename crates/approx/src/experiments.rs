@@ -38,27 +38,37 @@ impl HtconvQuality {
         } else {
             &[1.0, 0.5, 0.3, 0.15, 0.05, 0.0]
         };
-        // Fovea fractions are independent full-image convolutions with
-        // wildly different MAC counts — exactly the skewed shape the
+        // The low-resolution input, its exact upscale and that upscale's
+        // PSNR depend on the scene alone, so they are computed once, not
+        // once per fovea fraction.
+        let inputs = ctx.exec().map(&scenes, |hr| {
+            let lr = hr.downsample2x().expect("even dims");
+            let (exact, _) = tconv_upscale2x(&lr, &bicubic_kernel());
+            (lr, psnr_cropped(hr, &exact, 6).expect("same dims"))
+        });
+        let n = scenes.len() as f64;
+        let mut pe = 0.0;
+        for (_, psnr_exact) in &inputs {
+            pe += psnr_exact;
+        }
+        let pe = pe / n;
+        // Each fovea fraction is an independent HTCONV pass per scene; the
+        // fraction sets how many pixels take all four exact phases, so the
+        // passes differ widely in cost: the skewed shape the
         // work-stealing pool schedules well.
         let frac_results = ctx.exec().map(fracs, |&frac| {
+            let fovea = FoveaSpec::centered_fraction(lr_dim, lr_dim, frac);
             let mut saving = 0.0;
-            let mut psnr_exact = 0.0;
             let mut psnr_hybrid = 0.0;
-            for hr in &scenes {
-                let lr = hr.downsample2x().expect("even dims");
-                let fovea = FoveaSpec::centered_fraction(lr_dim, lr_dim, frac);
-                let (exact, _) = tconv_upscale2x(&lr, &bicubic_kernel());
-                let (hybrid, stats) = htconv_upscale2x(&lr, &bicubic_kernel(), &fovea);
+            for (hr, (lr, _)) in scenes.iter().zip(&inputs) {
+                let (hybrid, stats) = htconv_upscale2x(lr, &bicubic_kernel(), &fovea);
                 saving += stats.mac_saving_vs_exact();
-                psnr_exact += psnr_cropped(hr, &exact, 6).expect("same dims");
                 psnr_hybrid += psnr_cropped(hr, &hybrid, 6).expect("same dims");
             }
-            let n = scenes.len() as f64;
-            (saving / n, psnr_exact / n, psnr_hybrid / n)
+            (saving / n, psnr_hybrid / n)
         });
         let mut rows = Vec::new();
-        for (&frac, &(saving, pe, ph)) in fracs.iter().zip(&frac_results) {
+        for (&frac, &(saving, ph)) in fracs.iter().zip(&frac_results) {
             let loss_pct = (pe - ph) / pe * 100.0;
             rows.push(vec![
                 fmt(frac, 2),

@@ -13,7 +13,7 @@
 
 use crate::conv::Kernel;
 use crate::image::Image;
-use crate::tconv::up_at;
+use crate::tconv::tconv_at;
 
 /// Circular foveal region in input-image coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,8 +85,7 @@ impl HtconvStats {
 ///
 /// Returns the `2H × 2W` output and the operation statistics.
 pub fn htconv_upscale2x(input: &Image, kernel: &Kernel, fovea: &FoveaSpec) -> (Image, HtconvStats) {
-    let t = kernel.size() as isize;
-    let half = t / 2;
+    let t = kernel.size();
     let (h, w) = (input.height(), input.width());
     let mut out = Image::zeros(2 * h, 2 * w);
     let mut stats = HtconvStats {
@@ -94,15 +93,7 @@ pub fn htconv_upscale2x(input: &Image, kernel: &Kernel, fovea: &FoveaSpec) -> (I
         ..HtconvStats::default()
     };
 
-    let phase = |r: isize, c: isize| -> f64 {
-        let mut acc = 0.0;
-        for u in 0..t {
-            for v in 0..t {
-                acc += kernel.at(u as usize, v as usize) * up_at(input, r + u - half, c + v - half);
-            }
-        }
-        acc
-    };
+    let phase = |r: isize, c: isize| tconv_at(input, kernel, r, c);
 
     // Pass 1: even-even phase everywhere; all four phases in the fovea.
     for i in 0..h {

@@ -33,6 +33,8 @@
 //! assert!(stats.mac_saving_vs_exact() > 0.5);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod arith;
 pub mod conv;
 pub mod error;

@@ -23,6 +23,8 @@
 //! echo checking in [`loadgen`]; the `f2 check-log` access-log validator
 //! next to the other `check-*` gates in [`runner`].
 
+#![deny(unsafe_code)]
+
 pub use f2_core::experiment::render::{fmt, print_table, section};
 
 pub mod campaign;

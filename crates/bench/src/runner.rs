@@ -1127,7 +1127,7 @@ pub fn check_bench(
             harness
                 .results()
                 .iter()
-                .map(|r| (r.label.clone(), r.p10.as_nanos() as f64))
+                .map(|r| (r.label.clone(), r.p10))
                 .collect()
         }
     };

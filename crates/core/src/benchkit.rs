@@ -36,21 +36,23 @@ pub struct Harness {
     results: Vec<Record>,
 }
 
-/// One benchmark's summary statistics (per-iteration times).
+/// One benchmark's summary statistics, as per-iteration nanoseconds. They
+/// keep the fraction of a nanosecond a fast kernel's sample has; only the
+/// f2-bench-v1 document rounds them down to whole `*_ns` integers.
 #[derive(Debug, Clone)]
 pub struct Record {
     /// `group/function` label.
     pub label: String,
     /// Fastest sample.
-    pub min: Duration,
+    pub min: f64,
     /// 10th-percentile sample (sorted index `samples / 10`): robust to the
     /// occasional slow outlier a shared machine injects, unlike `min` which
     /// rewards one lucky sample — the statistic `check-bench` compares.
-    pub p10: Duration,
+    pub p10: f64,
     /// Median sample.
-    pub median: Duration,
+    pub median: f64,
     /// Mean over all samples.
-    pub mean: Duration,
+    pub mean: f64,
     /// Iterations per sample the calibrator settled on.
     pub iters_per_sample: u64,
 }
@@ -59,16 +61,10 @@ impl ToJson for Record {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("label".to_string(), self.label.to_json()),
-            ("min_ns".to_string(), (self.min.as_nanos() as u64).to_json()),
-            ("p10_ns".to_string(), (self.p10.as_nanos() as u64).to_json()),
-            (
-                "median_ns".to_string(),
-                (self.median.as_nanos() as u64).to_json(),
-            ),
-            (
-                "mean_ns".to_string(),
-                (self.mean.as_nanos() as u64).to_json(),
-            ),
+            ("min_ns".to_string(), (self.min as u64).to_json()),
+            ("p10_ns".to_string(), (self.p10 as u64).to_json()),
+            ("median_ns".to_string(), (self.median as u64).to_json()),
+            ("mean_ns".to_string(), (self.mean as u64).to_json()),
             (
                 "iters_per_sample".to_string(),
                 self.iters_per_sample.to_json(),
@@ -126,10 +122,10 @@ impl Harness {
             println!(
                 "{:<44} {:>12} {:>12} {:>12} {:>12}",
                 r.label,
-                format_duration(r.min),
-                format_duration(r.p10),
-                format_duration(r.median),
-                format_duration(r.mean),
+                format_ns(r.min),
+                format_ns(r.p10),
+                format_ns(r.median),
+                format_ns(r.mean),
             );
         }
     }
@@ -173,8 +169,8 @@ impl Group<'_> {
         record.label = full.clone();
         println!(
             "{full}: median {} (min {}, {} iters/sample)",
-            format_duration(record.median),
-            format_duration(record.min),
+            format_ns(record.median),
+            format_ns(record.min),
             record.iters_per_sample
         );
         self.harness.results.push(record);
@@ -208,19 +204,19 @@ impl Bencher {
             iters = ((iters as f64) * scale).ceil() as u64;
         };
         let _ = per_iter;
-        let mut times: Vec<Duration> = Vec::with_capacity(self.samples);
+        let mut times: Vec<f64> = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
             let start = Instant::now();
             for _ in 0..iters {
                 black_box(f());
             }
-            times.push(start.elapsed() / iters as u32);
+            times.push(start.elapsed().as_nanos() as f64 / iters as f64);
         }
-        times.sort_unstable();
+        times.sort_unstable_by(f64::total_cmp);
         let min = times[0];
         let p10 = times[times.len() / 10];
         let median = times[times.len() / 2];
-        let mean = times.iter().sum::<Duration>() / times.len() as u32;
+        let mean = times.iter().sum::<f64>() / times.len() as f64;
         self.record = Some(Record {
             label: String::new(),
             min,
@@ -230,6 +226,11 @@ impl Bencher {
             iters_per_sample: iters,
         });
     }
+}
+
+/// Formats whole nanoseconds of a per-iteration time.
+fn format_ns(ns: f64) -> String {
+    format_duration(Duration::from_nanos(ns as u64))
 }
 
 fn format_duration(d: Duration) -> String {
@@ -258,7 +259,7 @@ mod tests {
         assert_eq!(h.results().len(), 1);
         let r = &h.results()[0];
         assert_eq!(r.label, "smoke/noop");
-        assert!(r.min <= r.p10 && r.p10 <= r.median && r.median <= r.mean * 2);
+        assert!(r.min <= r.p10 && r.p10 <= r.median && r.median <= r.mean * 2.0);
         assert!(r.iters_per_sample >= 1);
     }
 
@@ -266,10 +267,10 @@ mod tests {
     fn record_serialises_to_json_in_ns() {
         let r = Record {
             label: "g/f".to_string(),
-            min: Duration::from_nanos(100),
-            p10: Duration::from_nanos(110),
-            median: Duration::from_nanos(150),
-            mean: Duration::from_nanos(160),
+            min: 100.0,
+            p10: 110.9,
+            median: 150.5,
+            mean: 160.0,
             iters_per_sample: 42,
         };
         assert_eq!(

@@ -33,6 +33,9 @@
 //! `/debug/recent` flight recorder), [`exec`] (the work-stealing pool) and
 //! [`experiment`] (registry + golden-KPI plumbing).
 
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod benchkit;
 pub mod bf16;
 pub mod energy;

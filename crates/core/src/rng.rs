@@ -222,22 +222,27 @@ impl<R: Rng + ?Sized> Rng for &mut R {
 /// ChaCha8 keeps the statistical quality of the full cipher at a fraction of
 /// the cost and is the same generator the workspace used via `rand_chacha`;
 /// this implementation is self-contained (RFC 7539 state layout, 64-bit
-/// block counter).
+/// block counter). It computes four blocks per refill (with SSE2 on
+/// x86_64) and emits their words in the same order as one block at a time.
 #[derive(Debug, Clone)]
 pub struct ChaCha8Rng {
     /// 256-bit key as eight little-endian words.
     key: [u32; 8],
-    /// 64-bit block counter (words 12–13 of the state).
+    /// 64-bit block counter (words 12–13 of the state) of the next refill.
     counter: u64,
-    /// Current output block.
-    buf: [u32; 16],
-    /// Next unread word in `buf`; 16 means exhausted.
+    /// The current four output blocks, block-major.
+    buf: [u32; BUF_WORDS],
+    /// Next unread word in `buf`; `BUF_WORDS` means exhausted.
     idx: usize,
 }
 
 const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646E, 0x7962_2D32, 0x6B20_6574];
 const CHACHA_ROUNDS: usize = 8;
+/// Keystream blocks computed per refill.
+const BLOCKS_PER_REFILL: usize = 4;
+const BUF_WORDS: usize = 16 * BLOCKS_PER_REFILL;
 
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "sse2"))))]
 #[inline]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     state[a] = state[a].wrapping_add(state[b]);
@@ -250,14 +255,146 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
+/// The ChaCha8 block function: keystream block `counter` under `key`. The
+/// refill path on targets without SSE2, and the SSE2 path's reference in
+/// tests.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "sse2"))))]
+fn chacha8_block(key: &[u32; 8], counter: u64) -> [u32; 16] {
+    let mut state = [0u32; 16];
+    state[..4].copy_from_slice(&CHACHA_CONSTANTS);
+    state[4..12].copy_from_slice(key);
+    state[12] = counter as u32;
+    state[13] = (counter >> 32) as u32;
+    // Words 14-15 are the nonce; a fixed zero nonce is fine for a PRNG
+    // (stream separation happens through the key, via `rng_for` labels).
+    let initial = state;
+    for _ in 0..CHACHA_ROUNDS / 2 {
+        // Column round.
+        quarter_round(&mut state, 0, 4, 8, 12);
+        quarter_round(&mut state, 1, 5, 9, 13);
+        quarter_round(&mut state, 2, 6, 10, 14);
+        quarter_round(&mut state, 3, 7, 11, 15);
+        // Diagonal round.
+        quarter_round(&mut state, 0, 5, 10, 15);
+        quarter_round(&mut state, 1, 6, 11, 12);
+        quarter_round(&mut state, 2, 7, 8, 13);
+        quarter_round(&mut state, 3, 4, 9, 14);
+    }
+    for (s, i) in state.iter_mut().zip(initial) {
+        *s = s.wrapping_add(i);
+    }
+    state
+}
+
+/// Writes keystream blocks `counter..counter + 4` under `key` into `out`,
+/// block after block.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+fn blocks4(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+    for (i, block) in out.chunks_exact_mut(16).enumerate() {
+        block.copy_from_slice(&chacha8_block(key, counter.wrapping_add(i as u64)));
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+use sse2::blocks4;
+
+/// The four-block refill on x86_64: each of the 16 state words lives in one
+/// SSE2 register whose four lanes are the four blocks.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+#[allow(unsafe_code)]
+mod sse2 {
+    use super::{BUF_WORDS, CHACHA_CONSTANTS, CHACHA_ROUNDS};
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_or_si128, _mm_set1_epi32, _mm_setr_epi32, _mm_slli_epi32,
+        _mm_srli_epi32, _mm_storeu_si128, _mm_unpackhi_epi32, _mm_unpackhi_epi64,
+        _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_xor_si128,
+    };
+
+    /// Writes keystream blocks `counter..counter + 4` under `key` into
+    /// `out`, block after block.
+    pub(super) fn blocks4(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+        // SAFETY: SSE2 is part of the x86_64 baseline, and this module is
+        // only compiled for targets that enable it, so every CPU that runs
+        // this code has the one feature `blocks4_sse2` enables.
+        unsafe { blocks4_sse2(key, counter, out) }
+    }
+
+    macro_rules! rotl {
+        ($x:expr, $n:literal) => {
+            _mm_or_si128(_mm_slli_epi32::<$n>($x), _mm_srli_epi32::<{ 32 - $n }>($x))
+        };
+    }
+
+    macro_rules! quarter_round {
+        ($s:ident, $a:literal, $b:literal, $c:literal, $d:literal) => {
+            $s[$a] = _mm_add_epi32($s[$a], $s[$b]);
+            $s[$d] = rotl!(_mm_xor_si128($s[$d], $s[$a]), 16);
+            $s[$c] = _mm_add_epi32($s[$c], $s[$d]);
+            $s[$b] = rotl!(_mm_xor_si128($s[$b], $s[$c]), 12);
+            $s[$a] = _mm_add_epi32($s[$a], $s[$b]);
+            $s[$d] = rotl!(_mm_xor_si128($s[$d], $s[$a]), 8);
+            $s[$c] = _mm_add_epi32($s[$c], $s[$d]);
+            $s[$b] = rotl!(_mm_xor_si128($s[$b], $s[$c]), 7);
+        };
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support SSE2.
+    #[target_feature(enable = "sse2")]
+    unsafe fn blocks4_sse2(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+        let splat = |w: u32| _mm_set1_epi32(w as i32);
+        let c = [0, 1, 2, 3].map(|i| counter.wrapping_add(i));
+        let mut initial = [splat(0); 16];
+        for (s, &w) in initial.iter_mut().zip(CHACHA_CONSTANTS.iter().chain(key)) {
+            *s = splat(w);
+        }
+        initial[12] = _mm_setr_epi32(c[0] as i32, c[1] as i32, c[2] as i32, c[3] as i32);
+        let hi = c.map(|c| (c >> 32) as i32);
+        initial[13] = _mm_setr_epi32(hi[0], hi[1], hi[2], hi[3]);
+        let mut s = initial;
+        for _ in 0..CHACHA_ROUNDS / 2 {
+            quarter_round!(s, 0, 4, 8, 12);
+            quarter_round!(s, 1, 5, 9, 13);
+            quarter_round!(s, 2, 6, 10, 14);
+            quarter_round!(s, 3, 7, 11, 15);
+            quarter_round!(s, 0, 5, 10, 15);
+            quarter_round!(s, 1, 6, 11, 12);
+            quarter_round!(s, 2, 7, 8, 13);
+            quarter_round!(s, 3, 4, 9, 14);
+        }
+        // Transpose each group of four words from lane-major to
+        // block-major: block b's words w..w+4 land at out[16b + w].
+        for w in (0..16).step_by(4) {
+            let [a, b, c, d] = [0, 1, 2, 3].map(|i| _mm_add_epi32(s[w + i], initial[w + i]));
+            let ab_lo = _mm_unpacklo_epi32(a, b);
+            let cd_lo = _mm_unpacklo_epi32(c, d);
+            let ab_hi = _mm_unpackhi_epi32(a, b);
+            let cd_hi = _mm_unpackhi_epi32(c, d);
+            let rows = [
+                _mm_unpacklo_epi64(ab_lo, cd_lo),
+                _mm_unpackhi_epi64(ab_lo, cd_lo),
+                _mm_unpacklo_epi64(ab_hi, cd_hi),
+                _mm_unpackhi_epi64(ab_hi, cd_hi),
+            ];
+            for (block, row) in rows.into_iter().enumerate() {
+                let dst = &mut out[16 * block + w..16 * block + w + 4];
+                // SAFETY: `dst` is four in-bounds `u32`s (16 bytes), and
+                // `_mm_storeu_si128` has no alignment requirement.
+                unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast::<__m128i>(), row) };
+            }
+        }
+    }
+}
+
 impl ChaCha8Rng {
     /// Builds a generator from a full 256-bit key.
     pub fn from_key(key: [u32; 8]) -> Self {
         Self {
             key,
             counter: 0,
-            buf: [0; 16],
-            idx: 16,
+            buf: [0; BUF_WORDS],
+            idx: BUF_WORDS,
         }
     }
 
@@ -274,39 +411,17 @@ impl ChaCha8Rng {
         Self::from_key(key)
     }
 
-    /// Runs the block function for the current counter into `buf`.
+    /// Computes the next four keystream blocks into `buf`.
     fn refill(&mut self) {
-        let mut state = [0u32; 16];
-        state[..4].copy_from_slice(&CHACHA_CONSTANTS);
-        state[4..12].copy_from_slice(&self.key);
-        state[12] = self.counter as u32;
-        state[13] = (self.counter >> 32) as u32;
-        // Words 14-15 are the nonce; a fixed zero nonce is fine for a PRNG
-        // (stream separation happens through the key, via `rng_for` labels).
-        let initial = state;
-        for _ in 0..CHACHA_ROUNDS / 2 {
-            // Column round.
-            quarter_round(&mut state, 0, 4, 8, 12);
-            quarter_round(&mut state, 1, 5, 9, 13);
-            quarter_round(&mut state, 2, 6, 10, 14);
-            quarter_round(&mut state, 3, 7, 11, 15);
-            // Diagonal round.
-            quarter_round(&mut state, 0, 5, 10, 15);
-            quarter_round(&mut state, 1, 6, 11, 12);
-            quarter_round(&mut state, 2, 7, 8, 13);
-            quarter_round(&mut state, 3, 4, 9, 14);
-        }
-        for (out, (s, i)) in self.buf.iter_mut().zip(state.iter().zip(initial)) {
-            *out = s.wrapping_add(i);
-        }
-        self.counter = self.counter.wrapping_add(1);
+        blocks4(&self.key, self.counter, &mut self.buf);
+        self.counter = self.counter.wrapping_add(BLOCKS_PER_REFILL as u64);
         self.idx = 0;
     }
 
     /// Returns the next 32-bit word of the keystream.
     #[inline]
     pub fn next_u32(&mut self) -> u32 {
-        if self.idx >= 16 {
+        if self.idx >= BUF_WORDS {
             self.refill();
         }
         let w = self.buf[self.idx];
@@ -316,7 +431,12 @@ impl ChaCha8Rng {
 }
 
 impl Rng for ChaCha8Rng {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
+        if let Some(&[lo, hi]) = self.buf.get(self.idx..self.idx + 2) {
+            self.idx += 2;
+            return u64::from(lo) | (u64::from(hi) << 32);
+        }
         let lo = self.next_u32() as u64;
         let hi = self.next_u32() as u64;
         lo | (hi << 32)
@@ -397,11 +517,95 @@ mod tests {
 
     #[test]
     fn chacha_known_answer() {
-        // ChaCha8 block 0 for the all-zero key and nonce. First word of the
-        // keystream, checked against the independently-published test vector
-        // ("3e00ef2f..." little-endian).
+        // ChaCha8 blocks 0 and 1 for the all-zero key and nonce, checked
+        // against the independently-published test vector ("3e00ef2f..."
+        // as little-endian words).
+        const BLOCKS: [[u32; 16]; 2] = [
+            [
+                0x2fef003e, 0xd6405f89, 0xe8b85b7f, 0xa1a5091f, 0xc30e842c, 0x3b7f9ace, 0x88e11b18,
+                0x1e1a71ef, 0x72e14c98, 0x416f21b9, 0x6753449f, 0x19566d45, 0xa3424a31, 0x01b086da,
+                0xb8fd7b38, 0x42fe0c0e,
+            ],
+            [
+                0x0dfaaed2, 0x51c1a5ea, 0x6cdb0abf, 0xada5f201, 0x1258fdc0, 0xaaa2f959, 0x8f0ff2dc,
+                0x6ba266d5, 0x38ec3250, 0x98dac5bb, 0x566f0cee, 0x652a878b, 0x25bf8aa0, 0xbb21eb1d,
+                0xd8e5564b, 0xaa681e82,
+            ],
+        ];
+        for (counter, block) in BLOCKS.iter().enumerate() {
+            assert_eq!(&chacha8_block(&[0; 8], counter as u64), block);
+        }
         let mut rng = ChaCha8Rng::from_key([0; 8]);
-        assert_eq!(rng.next_u32(), 0x2fef003e);
+        let stream: Vec<u32> = (0..32).map(|_| rng.next_u32()).collect();
+        assert_eq!(stream, BLOCKS.concat());
+    }
+
+    /// The keystream the scalar block function gives, one block at a time.
+    fn scalar_stream(key: &[u32; 8], words: usize) -> Vec<u32> {
+        (0..words.div_ceil(16) as u64)
+            .flat_map(|counter| chacha8_block(key, counter))
+            .take(words)
+            .collect()
+    }
+
+    /// Replays `ops` (`true` = `next_u64`, `false` = `next_u32`) and checks
+    /// every output against the scalar keystream.
+    fn check_against_scalar(key: [u32; 8], ops: &[bool]) {
+        let words = ops.iter().map(|&wide| 1 + usize::from(wide)).sum();
+        let want = scalar_stream(&key, words);
+        let mut rng = ChaCha8Rng::from_key(key);
+        let mut pos = 0;
+        for (step, &wide) in ops.iter().enumerate() {
+            if wide {
+                let got = rng.next_u64();
+                let expect = u64::from(want[pos]) | (u64::from(want[pos + 1]) << 32);
+                assert_eq!(got, expect, "next_u64 at word {pos} (op {step})");
+                pos += 2;
+            } else {
+                assert_eq!(
+                    rng.next_u32(),
+                    want[pos],
+                    "next_u32 at word {pos} (op {step})"
+                );
+                pos += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn next_u64_straddling_the_buffer_edge_matches_the_scalar_stream() {
+        // 63 single words leave one buffered word: the next `next_u64`
+        // takes its low half from this refill and its high half from the
+        // next, and the stream continues at odd offsets after that.
+        let mut ops = vec![false; BUF_WORDS - 1];
+        ops.extend([true; BUF_WORDS]);
+        check_against_scalar([7; 8], &ops);
+    }
+
+    crate::ptest! {
+        /// The four-block refill equals four scalar blocks, for random keys
+        /// at a random counter, across the carry from word 12 into word 13
+        /// and at the wrap of the 64-bit counter.
+        fn four_block_refill_matches_the_scalar_block_function(g) {
+            let key: [u32; 8] = std::array::from_fn(|_| g.u32());
+            let edges = [(1u64 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 32) + 2, (1 << 32) + 3];
+            for counter in [g.u64(), u64::MAX].into_iter().chain(edges) {
+                let mut out = [0u32; BUF_WORDS];
+                blocks4(&key, counter, &mut out);
+                for (i, block) in out.chunks_exact(16).enumerate() {
+                    let want = chacha8_block(&key, counter.wrapping_add(i as u64));
+                    assert_eq!(block, want, "counter {counter:#x} + {i}");
+                }
+            }
+        }
+
+        /// Any mix of `next_u32` and `next_u64` calls over several refills
+        /// reproduces the scalar keystream word for word.
+        fn interleaved_draws_match_the_scalar_stream(g) {
+            let key: [u32; 8] = std::array::from_fn(|_| g.u32());
+            let ops = g.vec(1..200, |g| g.u8() & 1 == 1);
+            check_against_scalar(key, &ops);
+        }
     }
 
     #[test]

@@ -37,18 +37,23 @@ pub fn levenshtein_dp(a: &DnaSequence, b: &DnaSequence) -> DistanceResult {
             cell_updates: 0,
         };
     }
-    let mut prev: Vec<usize> = (0..=m).collect();
-    let mut curr = vec![0usize; m + 1];
-    for i in 1..=n {
-        curr[0] = i;
-        for j in 1..=m {
-            let cost = usize::from(a[i - 1] != b[j - 1]);
-            curr[j] = (prev[j] + 1).min(curr[j - 1] + 1).min(prev[j - 1] + cost);
+    let len = u32::try_from(n.max(m)).expect("strand lengths fit in u32");
+    // One row `D(i, 1..=m)`, updated in place: just before cell `(i, j)` is
+    // written, `row[j - 1]` still holds `D(i - 1, j)`, `diag` holds
+    // `D(i - 1, j - 1)` and `left` holds `D(i, j - 1)`.
+    let mut row: Vec<u32> = (1..=len).take(m).collect();
+    for (i, &ai) in (0..len).zip(a) {
+        let mut diag = i;
+        let mut left = i + 1;
+        for (cell, &bj) in row.iter_mut().zip(b) {
+            let up = *cell;
+            left = (up + 1).min(left + 1).min(diag + u32::from(ai != bj));
+            diag = up;
+            *cell = left;
         }
-        std::mem::swap(&mut prev, &mut curr);
     }
     DistanceResult {
-        distance: Some(prev[m]),
+        distance: Some(row[m - 1] as usize),
         cell_updates: (n * m) as u64,
     }
 }
@@ -211,6 +216,43 @@ mod tests {
         assert_eq!(levenshtein_dp(&seq("ACGT"), &seq("TGCA")).distance, Some(4));
         assert_eq!(levenshtein_dp(&seq(""), &seq("ACG")).distance, Some(3));
         assert_eq!(levenshtein_dp(&seq("AC"), &seq("")).distance, Some(2));
+    }
+
+    /// The textbook `(n + 1) × (m + 1)` matrix dynamic program.
+    fn matrix_distance(a: &DnaSequence, b: &DnaSequence) -> usize {
+        let (a, b) = (a.bases(), b.bases());
+        let mut d = vec![vec![0usize; b.len() + 1]; a.len() + 1];
+        for (i, row) in d.iter_mut().enumerate() {
+            row[0] = i;
+        }
+        for (j, cell) in d[0].iter_mut().enumerate() {
+            *cell = j;
+        }
+        for i in 1..=a.len() {
+            for j in 1..=b.len() {
+                let sub = d[i - 1][j - 1] + usize::from(a[i - 1] != b[j - 1]);
+                d[i][j] = sub.min(d[i - 1][j] + 1).min(d[i][j - 1] + 1);
+            }
+        }
+        d[a.len()][b.len()]
+    }
+
+    f2_core::ptest! {
+        /// The one-row DP equals the full matrix DP, for empty strands and
+        /// unequal lengths too, and counts one update per matrix cell.
+        fn dp_matches_the_matrix_dp(g) {
+            use crate::sequence::DnaBase;
+            let alphabet = g.u64_in(1..5);
+            let strand = |g: &mut f2_core::ptest::Gen| {
+                let len = g.usize_in(0..40);
+                let bases = (0..len).map(|_| DnaBase::from_bits(g.u64_in(0..alphabet) as u8));
+                DnaSequence::from_bases(bases.collect())
+            };
+            let (a, b) = (strand(g), strand(g));
+            let r = levenshtein_dp(&a, &b);
+            assert_eq!(r.distance, Some(matrix_distance(&a, &b)), "{a} {b}");
+            assert_eq!(r.cell_updates, (a.len() * b.len()) as u64);
+        }
     }
 
     #[test]

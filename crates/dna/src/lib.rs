@@ -28,6 +28,8 @@
 //! assert_eq!(strand.to_bytes(), b"hi");
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod accelerator;
 pub mod alignment;
 pub mod channel;

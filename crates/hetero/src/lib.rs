@@ -26,6 +26,8 @@
 //! assert!(gpu.total_time < cpu.total_time);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod campaign;
 pub mod device;
 pub mod error;

@@ -8,7 +8,7 @@ use f2_core::workload::sparse::{generate, SparseMatrix, SparsityPattern};
 use f2_core::CoreError;
 
 use crate::sparta::{run, CacheConfig, Kernel, SpartaConfig, Workload, WorkloadBuilder};
-use crate::spdataflow::{spgemm_cost, spmv_cost, Dataflow, Policy, SpConfig};
+use crate::spdataflow::{spmv_cost, Dataflow, Policy, SpConfig, SpgemmBlocks};
 
 fn spmv_trace(graph: &f2_core::workload::graph::CsrGraph) -> Workload {
     WorkloadBuilder::new(&SparseMatrix::from_csr_graph(graph))
@@ -247,16 +247,34 @@ impl Experiment for SpDataflow {
 
         ctx.section("SpGEMM C = A*A: fixed dataflows vs adaptive per-row-block");
         let _phase = ctx.span("spdataflow:spgemm");
+        // The SpGEMM symbolic pass depends on the tile size alone: run it
+        // once per distinct tile of this section and the Pareto sweep, and
+        // cost every policy and buffer from it.
+        let (tiles, buffers): (&[f64], &[f64]) = if ctx.quick() {
+            (&[8.0, 32.0], &[128.0, 1024.0])
+        } else {
+            (&[8.0, 16.0, 32.0, 64.0], &[128.0, 512.0, 1024.0, 4096.0])
+        };
+        let mut tile_sizes = vec![cfg.tile_rows];
+        tile_sizes.extend(tiles.iter().map(|&t| t as usize));
+        tile_sizes.sort_unstable();
+        tile_sizes.dedup();
+        let passes = ctx.exec().map(&tile_sizes, |&t| {
+            SpgemmBlocks::new(&matrix, &matrix, t).expect("validated config")
+        });
+        let pass_for =
+            |tile_rows: usize| &passes[tile_sizes.binary_search(&tile_rows).expect("listed")];
         let policies = [
             Policy::Fixed(Dataflow::Inner),
             Policy::Fixed(Dataflow::Outer),
             Policy::Fixed(Dataflow::RowWise),
             Policy::Adaptive,
         ];
-        // The four policy evaluations are independent symbolic passes.
-        let reports = ctx.exec().map(&policies, |&p| {
-            spgemm_cost(&matrix, &matrix, p, &cfg).expect("validated config")
-        });
+        let pass = pass_for(cfg.tile_rows);
+        let reports: Vec<_> = policies
+            .iter()
+            .map(|&p| pass.cost(p, &cfg).expect("validated config"))
+            .collect();
         let mut rows = Vec::new();
         let mut best_fixed = u64::MAX;
         for (p, r) in policies.iter().zip(&reports) {
@@ -310,11 +328,6 @@ impl Experiment for SpDataflow {
 
         ctx.section("Pareto sweep: tile_rows x buffer_words (adaptive policy)");
         let _phase = ctx.span("spdataflow:pareto");
-        let (tiles, buffers): (&[f64], &[f64]) = if ctx.quick() {
-            (&[8.0, 32.0], &[128.0, 1024.0])
-        } else {
-            (&[8.0, 16.0, 32.0, 64.0], &[128.0, 512.0, 1024.0, 4096.0])
-        };
         let dirs = [
             Direction::Minimize,
             Direction::Minimize,
@@ -329,7 +342,9 @@ impl Experiment for SpDataflow {
                 buffer_words: point["buffer_words"] as usize,
                 ..cfg
             };
-            let r = spgemm_cost(&matrix, &matrix, Policy::Adaptive, &c).expect("validated");
+            let r = pass_for(c.tile_rows)
+                .cost(Policy::Adaptive, &c)
+                .expect("validated");
             vec![
                 r.cycles as f64,
                 r.dram_words as f64,

@@ -48,6 +48,8 @@
 //! # Ok::<(), f2_hls::HlsError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod binding;
 pub mod dse;
 pub mod error;

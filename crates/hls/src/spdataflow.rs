@@ -395,7 +395,101 @@ fn fold_blocks(block_costs: &[[BlockCost; 3]], policy: Policy, cfg: &SpConfig) -
     report
 }
 
-/// Models `C = A·B` under `policy` and `cfg`.
+/// The symbolic pass of `C = A·B` at one tile size: the exact statistics of
+/// every row-block, from which each policy and buffer size is costed
+/// without another pass over the structure.
+pub struct SpgemmBlocks {
+    /// Rows of `A` per row-block the statistics were gathered at.
+    tile_rows: usize,
+    /// Words of `Bᵀ` (`2·nnz(B)`), the inner-product working set.
+    bt_words: u64,
+    /// Per-row-block statistics, in row order.
+    blocks: Vec<BlockStats>,
+}
+
+impl SpgemmBlocks {
+    /// Runs the symbolic pass over `C = A·B` in row-blocks of `tile_rows`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HlsError::InvalidConfig`] when `tile_rows` is zero or on a
+    /// dimension mismatch (`a.cols() != b.rows()`).
+    pub fn new(a: &SparseMatrix, b: &SparseMatrix, tile_rows: usize) -> Result<Self> {
+        if tile_rows == 0 {
+            return Err(HlsError::InvalidConfig(
+                "tile_rows must be positive".to_string(),
+            ));
+        }
+        if a.cols() != b.rows() {
+            return Err(HlsError::InvalidConfig(format!(
+                "spgemm shape mismatch: A is {}x{}, B is {}x{}",
+                a.rows(),
+                a.cols(),
+                b.rows(),
+                b.cols()
+            )));
+        }
+        let colnnz_b = b.col_nnz();
+        let mut k_seen = vec![0u32; b.rows()];
+        let mut j_seen_row = vec![0u32; b.cols()];
+        let mut j_seen_blk = vec![0u32; b.cols()];
+        let mut stamp = 0u32;
+        let mut blocks = Vec::new();
+        let mut r0 = 0;
+        while r0 < a.rows() {
+            let r1 = (r0 + tile_rows).min(a.rows());
+            blocks.push(spgemm_block_stats(
+                a,
+                b,
+                &colnnz_b,
+                r0,
+                r1,
+                &mut k_seen,
+                &mut j_seen_row,
+                &mut j_seen_blk,
+                &mut stamp,
+            ));
+            r0 = r1;
+        }
+        Ok(Self {
+            tile_rows,
+            bt_words: 2 * b.nnz() as u64,
+            blocks,
+        })
+    }
+
+    /// Models `C = A·B` under `policy` and `cfg`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HlsError::InvalidConfig`] on an invalid configuration or
+    /// when `cfg.tile_rows` is not the tile size of this pass.
+    pub fn cost(&self, policy: Policy, cfg: &SpConfig) -> Result<CostReport> {
+        cfg.validate()?;
+        if cfg.tile_rows != self.tile_rows {
+            return Err(HlsError::InvalidConfig(format!(
+                "tile_rows {} does not match the symbolic pass's {}",
+                cfg.tile_rows, self.tile_rows
+            )));
+        }
+        let buffer = cfg.buffer_words as u64;
+        let block_costs: Vec<[BlockCost; 3]> = self
+            .blocks
+            .iter()
+            .map(|s| {
+                [
+                    inner_cost(s, buffer, self.bt_words),
+                    outer_cost(s, buffer),
+                    rowwise_cost(s, buffer),
+                ]
+            })
+            .collect();
+        Ok(fold_blocks(&block_costs, policy, cfg))
+    }
+}
+
+/// Models `C = A·B` under `policy` and `cfg`: one symbolic pass and one
+/// costing ([`SpgemmBlocks`] reuses the pass across policies and buffers).
 ///
 /// # Errors
 ///
@@ -408,45 +502,7 @@ pub fn spgemm_cost(
     cfg: &SpConfig,
 ) -> Result<CostReport> {
     cfg.validate()?;
-    if a.cols() != b.rows() {
-        return Err(HlsError::InvalidConfig(format!(
-            "spgemm shape mismatch: A is {}x{}, B is {}x{}",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        )));
-    }
-    let buffer = cfg.buffer_words as u64;
-    let colnnz_b = b.col_nnz();
-    let bt_words = 2 * b.nnz() as u64;
-    let mut k_seen = vec![0u32; b.rows()];
-    let mut j_seen_row = vec![0u32; b.cols()];
-    let mut j_seen_blk = vec![0u32; b.cols()];
-    let mut stamp = 0u32;
-    let mut block_costs = Vec::new();
-    let mut r0 = 0;
-    while r0 < a.rows() {
-        let r1 = (r0 + cfg.tile_rows).min(a.rows());
-        let s = spgemm_block_stats(
-            a,
-            b,
-            &colnnz_b,
-            r0,
-            r1,
-            &mut k_seen,
-            &mut j_seen_row,
-            &mut j_seen_blk,
-            &mut stamp,
-        );
-        block_costs.push([
-            inner_cost(&s, buffer, bt_words),
-            outer_cost(&s, buffer),
-            rowwise_cost(&s, buffer),
-        ]);
-        r0 = r1;
-    }
-    Ok(fold_blocks(&block_costs, policy, cfg))
+    SpgemmBlocks::new(a, b, cfg.tile_rows)?.cost(policy, cfg)
 }
 
 /// Models `y = A·x` (dense `x`) under `policy` and `cfg`.
@@ -548,6 +604,115 @@ mod tests {
         }
         let thin = generate(SparsityPattern::Uniform, 16, 8, 2, 1).expect("valid");
         assert!(spgemm_cost(&m, &thin, Policy::Adaptive, &SpConfig::default()).is_err());
+    }
+
+    /// Block statistics by brute force: the structure of `C = A·B` from a
+    /// dense boolean product, every sum taken straight from its definition.
+    fn brute_force_block(a: &SparseMatrix, b: &SparseMatrix, r0: usize, r1: usize) -> [u64; 8] {
+        let dense = |m: &SparseMatrix| -> Vec<Vec<bool>> {
+            (0..m.rows())
+                .map(|i| (0..m.cols()).map(|j| m.row_cols(i).contains(&j)).collect())
+                .collect()
+        };
+        let (da, db) = (dense(a), dense(b));
+        let b_row_nnz = |k: usize| db[k].iter().filter(|&&x| x).count() as u64;
+        let b_col_nnz = |j: usize| db.iter().filter(|row| row[j]).count() as u64;
+        let mut s = [0u64; 8];
+        let [a_words, flops, out_nnz, max_row, b_words, bcol_words, pair_words, merge] = &mut s;
+        *a_words = (r1 - r0 + 1) as u64;
+        let mut k_used = vec![false; b.rows()];
+        let mut j_used = vec![false; b.cols()];
+        for a_row in &da[r0..r1] {
+            let a_nnz = a_row.iter().filter(|&&x| x).count() as u64;
+            *a_words += 2 * a_nnz;
+            let mut row_out = 0;
+            for j in 0..b.cols() {
+                if (0..a.cols()).any(|k| a_row[k] && db[k][j]) {
+                    row_out += 1;
+                    *pair_words += 2 * b_col_nnz(j);
+                    *merge += a_nnz + b_col_nnz(j);
+                    j_used[j] = true;
+                }
+            }
+            for k in (0..a.cols()).filter(|&k| a_row[k]) {
+                *flops += b_row_nnz(k);
+                k_used[k] = true;
+            }
+            *out_nnz += row_out;
+            *max_row = (*max_row).max(row_out);
+        }
+        *b_words = (0..b.rows())
+            .filter(|&k| k_used[k])
+            .map(|k| 2 * b_row_nnz(k))
+            .sum();
+        *bcol_words = (0..b.cols())
+            .filter(|&j| j_used[j])
+            .map(|j| 2 * b_col_nnz(j))
+            .sum();
+        s
+    }
+
+    #[test]
+    fn symbolic_pass_matches_brute_force_enumeration() {
+        for (seed, pattern) in SparsityPattern::ALL.into_iter().enumerate() {
+            // A non-square pair, so a row/column mix-up cannot cancel out.
+            let a = generate(pattern, 23, 17, 3, seed as u64).expect("valid spec");
+            let b = generate(pattern, 17, 29, 4, seed as u64 + 10).expect("valid spec");
+            for tile_rows in [1, 3, 8, 23, 40] {
+                let pass = SpgemmBlocks::new(&a, &b, tile_rows).expect("valid");
+                assert_eq!(pass.blocks.len(), 23usize.div_ceil(tile_rows));
+                assert_eq!(pass.bt_words, 2 * b.nnz() as u64);
+                for (blk, s) in pass.blocks.iter().enumerate() {
+                    let r0 = blk * tile_rows;
+                    let r1 = (r0 + tile_rows).min(a.rows());
+                    let got = [
+                        s.a_words,
+                        s.flops,
+                        s.out_nnz,
+                        s.max_row_out_nnz,
+                        s.distinct_b_words,
+                        s.distinct_bcol_words,
+                        s.pair_bcol_words,
+                        s.merge_cost,
+                    ];
+                    assert_eq!(
+                        got,
+                        brute_force_block(&a, &b, r0, r1),
+                        "{pattern:?}, tile {tile_rows}, block {blk}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_symbolic_pass_costs_every_policy_and_buffer() {
+        let m = matrix(SparsityPattern::PowerLaw);
+        let pass = SpgemmBlocks::new(&m, &m, 16).expect("valid");
+        for buffer_words in [64, 1024] {
+            let cfg = SpConfig {
+                tile_rows: 16,
+                buffer_words,
+                ..SpConfig::default()
+            };
+            for policy in Dataflow::ALL
+                .map(Policy::Fixed)
+                .into_iter()
+                .chain([Policy::Adaptive])
+            {
+                assert_eq!(
+                    pass.cost(policy, &cfg).expect("valid"),
+                    spgemm_cost(&m, &m, policy, &cfg).expect("valid")
+                );
+            }
+        }
+        // Statistics gathered at one tile size cannot cost another.
+        let other_tile = SpConfig {
+            tile_rows: 32,
+            ..SpConfig::default()
+        };
+        assert!(pass.cost(Policy::Adaptive, &other_tile).is_err());
+        assert!(SpgemmBlocks::new(&m, &m, 0).is_err());
     }
 
     #[test]

@@ -33,6 +33,8 @@
 //! # Ok::<(), f2_imc::ImcError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod crossbar;
 pub mod device;
 pub mod dimc;

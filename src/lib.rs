@@ -24,6 +24,8 @@
 //! assert!((eff.value() - 1500.0).abs() < 1e-9);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod experiments;
 
 pub use f2_approx as approx;
