@@ -141,7 +141,9 @@ stage_perf() {
 # Campaign smoke: expand the 32-scenario manifest, sweep it, and gate the
 # merged per-KPI distributions on the committed dist golden. Then prove
 # resumability: truncate the checkpoint journal mid-line and demand the
-# resumed sweep merge to a bit-identical report.
+# resumed sweep merge to a bit-identical report. Two more manifests are
+# gated on their own goldens: the sparse-dataflow sweep and a seed-axis
+# sweep that replays seedless sections.
 stage_campaign() {
     local out=/tmp/f2-campaign.json ckpt=/tmp/f2-campaign-ckpt.jsonl
     local manifest=tests/campaign/smoke.json
@@ -167,7 +169,22 @@ stage_campaign() {
     run timeout 120 "$F2" campaign tests/campaign/spdataflow.json \
         --out "$out" --checkpoint "$ckpt" --threads 4 \
         --golden tests/campaign/spdataflow.golden.json
-    rm -f "$out" "$ckpt"
+
+    # Seed axis × size of the experiments built from seedless sections:
+    # each section runs once per distinct non-seed key and the other seeds
+    # replay it. The golden predates the sections, and the report must be
+    # the same at one worker and at four.
+    local first=/tmp/f2-campaign-seedless-t1.json
+    rm -f "$out" "$ckpt" "$first"
+    run timeout 120 "$F2" campaign tests/campaign/seedless.json \
+        --out "$first" --checkpoint "$ckpt" --threads 1 \
+        --golden tests/campaign/seedless.golden.json
+    rm -f "$ckpt"
+    run timeout 120 "$F2" campaign tests/campaign/seedless.json \
+        --out "$out" --checkpoint "$ckpt" --threads 4 \
+        --golden tests/campaign/seedless.golden.json
+    run cmp "$first" "$out"
+    rm -f "$out" "$ckpt" "$first"
 }
 
 # Serve smoke: boot the real daemon on an ephemeral port, drive it with

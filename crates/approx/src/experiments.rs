@@ -1,7 +1,7 @@
 //! This thrust's registry entries for the unified `f2` runner.
 
 use f2_core::experiment::render::fmt;
-use f2_core::experiment::{Experiment, ExperimentCtx, ExperimentReport, ParamSpec};
+use f2_core::experiment::{Experiment, ExperimentCtx, ExperimentReport, ParamSpec, SeedlessCtx};
 use f2_core::workload::dnn::fsrcnn;
 
 use crate::fpga_model::table1_rows;
@@ -20,7 +20,24 @@ use crate::tconv::{bicubic_kernel, tconv_upscale2x};
 pub struct HtconvQuality;
 
 impl HtconvQuality {
-    fn layer_quality(&self, ctx: &mut ExperimentCtx) {
+    /// The whole report. The scenes, the FSRCNN weights and its input are
+    /// fixed synthetic data, so nothing here depends on the scenario seed.
+    fn tables(ctx: &mut SeedlessCtx) {
+        {
+            let _phase = ctx.span("htconv:layer_quality");
+            Self::layer_quality(ctx);
+        }
+        {
+            let _phase = ctx.span("htconv:model_level");
+            Self::model_level(ctx);
+        }
+        {
+            let _phase = ctx.span("htconv:end_to_end");
+            Self::end_to_end_inference(ctx);
+        }
+    }
+
+    fn layer_quality(ctx: &mut SeedlessCtx) {
         // Quick mode halves the scene size and count; the saving/PSNR
         // trade-off shape is scale-invariant.
         let (scene_d, scenes_d) = if ctx.quick() { (64, 2) } else { (96, 4) };
@@ -95,7 +112,7 @@ impl HtconvQuality {
         ctx.note("\nShape check: sub-10% PSNR loss at substantial layer-MAC saving (§V).");
     }
 
-    fn model_level(&self, ctx: &mut ExperimentCtx) {
+    fn model_level(ctx: &mut SeedlessCtx) {
         ctx.section("Model-level MACs (1080p -> 4K, per frame): approximate vs baseline");
         let h = 1080 / 2;
         let w = 1920 / 2;
@@ -138,7 +155,7 @@ impl HtconvQuality {
         ctx.note("MACs — the §V headline claim.");
     }
 
-    fn end_to_end_inference(&self, ctx: &mut ExperimentCtx) {
+    fn end_to_end_inference(ctx: &mut SeedlessCtx) {
         let in_dim = ctx.param_u64("in_dim", if ctx.quick() { 32 } else { 48 }) as usize;
         ctx.section(&format!(
             "End-to-end FSRCNN(8,3,1) inference ({in_dim}x{in_dim}), exact vs HTCONV final layer"
@@ -198,18 +215,7 @@ impl Experiment for HtconvQuality {
     }
 
     fn run(&self, ctx: &mut ExperimentCtx) -> f2_core::Result<ExperimentReport> {
-        {
-            let _phase = ctx.span("htconv:layer_quality");
-            self.layer_quality(ctx);
-        }
-        {
-            let _phase = ctx.span("htconv:model_level");
-            self.model_level(ctx);
-        }
-        {
-            let _phase = ctx.span("htconv:end_to_end");
-            self.end_to_end_inference(ctx);
-        }
+        ctx.seedless("htconv_quality/tables", Self::tables);
         Ok(ctx.report(self.name()))
     }
 }

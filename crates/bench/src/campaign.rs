@@ -39,6 +39,13 @@
 //!   seed from `rng_for(seed, "campaign/seed/<spec>/<i>")` — scenario
 //!   `i` of spec `s` is the same no matter what ran before it.
 //!
+//! Every scenario runs its experiment, but scenarios that differ only in
+//! seed share their seedless sections ([`ExperimentCtx::seedless`]):
+//! [`run`] holds one [`SeedlessMemo`] for the call, so each such section
+//! runs once per distinct label and seed-free scenario and the others
+//! replay its recording. Reports are byte-identical to running each
+//! scenario alone.
+//!
 //! ## Outputs
 //!
 //! The checkpoint (`f2-campaign-checkpoint-v1`) is a JSONL journal: a
@@ -66,11 +73,11 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use f2_core::exec::Pool;
-use f2_core::experiment::{golden, ExperimentCtx, Registry};
+use f2_core::experiment::{golden, ExperimentCtx, Registry, SeedlessMemo};
 use f2_core::json::{Json, ToJson};
 use f2_core::rng::{rng_for, Rng};
 use f2_core::scenario::{ParamValue, Scenario};
@@ -612,14 +619,20 @@ fn load_checkpoint(
     Ok(completed)
 }
 
-/// Runs one scenario and renders its checkpoint/result line.
-fn run_item(registry: &Registry, item: &CampaignItem) -> Result<Json, String> {
+/// Runs one scenario and renders its checkpoint/result line. Seedless
+/// sections already run for another scenario of the campaign replay from
+/// `memo`.
+fn run_item(
+    registry: &Registry,
+    item: &CampaignItem,
+    memo: &Arc<SeedlessMemo>,
+) -> Result<Json, String> {
     let Some(exp) = registry.find(&item.experiment) else {
         // Validated during expansion; defensive for registry changes.
         return Err(format!("unknown experiment `{}`", item.experiment));
     };
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut ctx = ExperimentCtx::quiet_scenario(&item.scenario);
+        let mut ctx = ExperimentCtx::quiet_scenario(&item.scenario).with_memo(Arc::clone(memo));
         exp.run(&mut ctx)
     }));
     let report = match outcome {
@@ -758,9 +771,12 @@ pub fn run(registry: &Registry, opts: &CampaignOptions) -> u8 {
         },
         None => None,
     };
+    // One memo per call: each seedless section runs once per distinct key
+    // in this campaign, and nothing carries over to the next call.
+    let memo = Arc::new(SeedlessMemo::new());
     let pool = Pool::new(opts.threads);
     let fresh: Vec<(usize, Result<Json, String>)> = pool.map(&pending, |item| {
-        let res = run_item(registry, item);
+        let res = run_item(registry, item, &memo);
         if let Ok(doc) = &res {
             let mut f = ckpt_file.lock().unwrap_or_else(|e| e.into_inner());
             if let Err(e) = writeln!(f, "{}", doc.encode()) {
@@ -860,7 +876,7 @@ pub fn run(registry: &Registry, opts: &CampaignOptions) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f2_core::experiment::{Experiment, ExperimentReport, ParamSpec};
+    use f2_core::experiment::{Experiment, ExperimentReport, ParamSpec, SeedlessCtx};
     use f2_core::scenario::Fidelity;
 
     /// Deterministic fixture: one KPI fully determined by seed and params.
@@ -893,7 +909,45 @@ mod tests {
     fn registry() -> Registry {
         let mut r = Registry::new();
         r.register(Box::new(Poly));
+        r.register(Box::new(Tabled::<0>));
+        r.register(Box::new(Tabled::<1>));
         r
+    }
+
+    /// Runs of each `Tabled` fixture's seedless section, one slot per
+    /// fixture: the tests using them run concurrently.
+    static TABLE_RUNS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+
+    fn table<const ID: usize>(ctx: &mut SeedlessCtx) {
+        TABLE_RUNS[ID].fetch_add(1, Ordering::SeqCst);
+        let n = ctx.param_u64("n", 2);
+        assert_ne!(n, 13, "unlucky table");
+        ctx.section(&format!("{n} squares"));
+        ctx.kpi("table/sum", (0..n).map(|i| (i * i) as f64).sum());
+    }
+
+    /// Fixture: one seeded KPI plus a seedless section that counts its
+    /// runs in `TABLE_RUNS[ID]` and panics at `n = 13`.
+    struct Tabled<const ID: usize>;
+
+    impl<const ID: usize> Experiment for Tabled<ID> {
+        fn name(&self) -> &'static str {
+            ["tabled0", "tabled1"][ID]
+        }
+        fn summary(&self) -> &'static str {
+            "campaign seedless-section fixture"
+        }
+        fn tags(&self) -> &'static [&'static str] {
+            &["campaign-test"]
+        }
+        fn params(&self) -> Vec<ParamSpec> {
+            vec![ParamSpec::u64("n", "table rows")]
+        }
+        fn run(&self, ctx: &mut ExperimentCtx) -> f2_core::Result<ExperimentReport> {
+            ctx.kpi("seeded", (ctx.seed() % 97) as f64);
+            ctx.seedless(["tabled0/table", "tabled1/table"][ID], table::<ID>);
+            Ok(ctx.report(self.name()))
+        }
     }
 
     const MANIFEST: &str = r#"{
@@ -1185,6 +1239,116 @@ mod tests {
         assert_eq!(std::fs::read(&out).expect("rerun output"), baseline);
         for p in [&manifest, &out, &ckpt, &prog] {
             let _ = std::fs::remove_file(p);
+        }
+    }
+
+    /// Runs `manifest` through [`run`] at `threads`; returns the exit code,
+    /// the merged report's bytes and how often fixture `ID`'s seedless
+    /// section ran.
+    fn run_tabled<const ID: usize>(manifest: &str, threads: usize) -> (u8, Vec<u8>, usize) {
+        let stem = format!("f2-campaign-test-tabled{ID}-t{threads}");
+        let path = tmp(&format!("{stem}.json"));
+        let out = tmp(&format!("{stem}.out.json"));
+        let ckpt = tmp(&format!("{stem}.ckpt.jsonl"));
+        std::fs::write(&path, manifest).expect("writable tmp");
+        let opts = CampaignOptions {
+            manifest: path.clone(),
+            out: Some(out.clone()),
+            checkpoint: Some(ckpt.clone()),
+            resume: false,
+            threads,
+            golden: None,
+            progress: None,
+        };
+        let before = TABLE_RUNS[ID].load(Ordering::SeqCst);
+        let code = run(&registry(), &opts);
+        let runs = TABLE_RUNS[ID].load(Ordering::SeqCst) - before;
+        let report = std::fs::read(&out).expect("output written");
+        for p in [&path, &out, &ckpt] {
+            let _ = std::fs::remove_file(p);
+        }
+        (code, report, runs)
+    }
+
+    fn result_kpis(result: &Json) -> Vec<(String, f64)> {
+        result
+            .get("kpis")
+            .and_then(Json::as_array)
+            .expect("kpis")
+            .iter()
+            .map(|k| {
+                let name = k.get("name").and_then(Json::as_str).expect("name");
+                (
+                    name.to_string(),
+                    k.get("value").and_then(Json::as_f64).expect("value"),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn seedless_sections_run_once_per_distinct_key_at_any_thread_count() {
+        const MANIFEST: &str = r#"{
+            "schema": "f2-campaign-manifest-v1",
+            "base": {"fidelity": "quick"},
+            "specs": [{"experiment": "tabled0",
+                       "grid": {"seed": [1, 2, 3, 4], "n": [3, 5, 8]}}]
+        }"#;
+        // Each call runs every key once: nothing carries over between them.
+        let (code, one, runs) = run_tabled::<0>(MANIFEST, 1);
+        assert_eq!((code, runs), (0, 3), "one run per distinct n");
+        let (code, four, runs) = run_tabled::<0>(MANIFEST, 4);
+        assert_eq!((code, runs), (0, 3), "one run per distinct n");
+        assert_eq!(one, four, "reports must not depend on --threads");
+
+        // Every result equals a plain run of its scenario with no memo.
+        let reg = registry();
+        let items = expand_manifest(MANIFEST, &reg).expect("valid manifest");
+        let doc = Json::parse(std::str::from_utf8(&one).expect("utf8")).expect("parses");
+        let results = doc
+            .get("results")
+            .and_then(Json::as_array)
+            .expect("results");
+        assert_eq!(results.len(), 12);
+        for (item, result) in items.iter().zip(results) {
+            let mut ctx = ExperimentCtx::quiet_scenario(&item.scenario);
+            let report = Tabled::<0>.run(&mut ctx).expect("runs");
+            let plain: Vec<(String, f64)> = report
+                .kpis
+                .iter()
+                .map(|k| (k.name.clone(), k.value))
+                .collect();
+            assert_eq!(result_kpis(result), plain, "scenario {}", item.index);
+        }
+    }
+
+    #[test]
+    fn a_panicking_seedless_section_fails_only_its_own_scenarios() {
+        const MANIFEST: &str = r#"{
+            "schema": "f2-campaign-manifest-v1",
+            "base": {"fidelity": "quick"},
+            "specs": [{"experiment": "tabled1",
+                       "grid": {"seed": [1, 2], "n": [3, 13]}}]
+        }"#;
+        let (code, report, runs) = run_tabled::<1>(MANIFEST, 1);
+        assert_eq!(code, 1, "failed scenarios fail the campaign");
+        // n = 3 runs once; n = 13 panics in both of its scenarios, since a
+        // panicking run stores nothing to replay.
+        assert_eq!(runs, 3);
+        let doc = Json::parse(std::str::from_utf8(&report).expect("utf8")).expect("parses");
+        assert_eq!(doc.get("completed").and_then(Json::as_f64), Some(2.0));
+        for result in doc
+            .get("results")
+            .and_then(Json::as_array)
+            .expect("results")
+        {
+            let n = result
+                .get("scenario")
+                .and_then(|s| s.get("params"))
+                .and_then(|p| p.get("n"))
+                .and_then(Json::as_f64);
+            assert_eq!(n, Some(3.0));
+            assert_eq!(result_kpis(result)[1], ("table/sum".to_string(), 5.0));
         }
     }
 

@@ -36,12 +36,16 @@
 pub mod catalog;
 pub mod golden;
 pub mod render;
+mod seedless;
+
+pub use seedless::{SeedlessCtx, SeedlessMemo};
 
 use crate::json::{Json, ToJson};
 use crate::rng::ChaCha8Rng;
 use crate::scenario::{ParamValue, Scenario};
 use crate::{CoreError, Result};
 use std::fmt::Display;
+use std::sync::Arc;
 
 /// Default relative tolerance applied to a [`Kpi`] when the experiment does
 /// not specify one. Loose enough to absorb cross-platform libm differences,
@@ -131,13 +135,16 @@ enum Output {
 /// Execution context handed to every experiment: the single owner of
 /// randomness, parallelism, fidelity and output.
 ///
-/// Experiments must derive all randomness via [`ExperimentCtx::rng_for`],
-/// run sweeps through the shared executor pool ([`ExperimentCtx::exec`]
-/// returns a [`crate::exec::Pool`] — `ctx.exec().map(items, f)`), honour
-/// [`ExperimentCtx::quick`] by shrinking problem sizes (not skipping
-/// claims), and report results through the sink methods
-/// ([`ExperimentCtx::section`] / [`ExperimentCtx::table`] /
-/// [`ExperimentCtx::note`] / [`ExperimentCtx::kpi`]) instead of `println!`.
+/// Experiments must derive all seed-dependent randomness via
+/// [`ExperimentCtx::rng_for`]; a section that draws only from fixed seeds
+/// runs through [`ExperimentCtx::seedless`], where the compiler keeps the
+/// scenario seed out of reach. Experiments run sweeps through the shared
+/// executor pool ([`ExperimentCtx::exec`] returns a [`crate::exec::Pool`]
+/// — `ctx.exec().map(items, f)`), honour [`ExperimentCtx::quick`] by
+/// shrinking problem sizes (not skipping claims), and report results
+/// through the sink methods ([`ExperimentCtx::section`] /
+/// [`ExperimentCtx::table`] / [`ExperimentCtx::note`] /
+/// [`ExperimentCtx::kpi`]) instead of `println!`.
 ///
 /// The pool is resolved **once**, when the context is built — experiments
 /// never re-read `F2_THREADS` per parallel call, and every sweep in a run
@@ -151,6 +158,9 @@ pub struct ExperimentCtx {
     /// Open trace span for the current section (auto-closed when the next
     /// section starts or the report is drained).
     section_span: Option<crate::trace::SpanGuard>,
+    /// Recordings of seedless sections shared with other contexts (a
+    /// campaign's); `None` runs every section.
+    memo: Option<Arc<SeedlessMemo>>,
 }
 
 impl ExperimentCtx {
@@ -165,6 +175,7 @@ impl ExperimentCtx {
             kpis: Vec::new(),
             records: Vec::new(),
             section_span: None,
+            memo: None,
         }
     }
 

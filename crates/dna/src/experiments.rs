@@ -1,7 +1,7 @@
 //! This thrust's registry entries for the unified `f2` runner.
 
 use f2_core::experiment::render::fmt;
-use f2_core::experiment::{Experiment, ExperimentCtx, ExperimentReport, ParamSpec};
+use f2_core::experiment::{Experiment, ExperimentCtx, ExperimentReport, ParamSpec, SeedlessCtx};
 
 use crate::accelerator::{AcceleratorConfig, CpuBaseline};
 use crate::channel::ChannelModel;
@@ -191,33 +191,11 @@ impl Experiment for DnaThroughput {
 /// rate to find where recovery breaks down.
 pub struct DnaPipeline;
 
-impl Experiment for DnaPipeline {
-    fn name(&self) -> &'static str {
-        "dna_pipeline"
-    }
-
-    fn summary(&self) -> &'static str {
-        "E10 / Fig. 6b: end-to-end DNA storage channel round trip"
-    }
-
-    fn tags(&self) -> &'static [&'static str] {
-        &["e10", "dna", "figure"]
-    }
-
-    fn params(&self) -> Vec<ParamSpec> {
-        vec![
-            ParamSpec::u64(
-                "sweep_seeds",
-                "seeds per substitution-sweep point (quick 3, full 5)",
-            ),
-            ParamSpec::f64(
-                "sub_scale",
-                "error-regime multiplier on every swept substitution rate (default 1)",
-            ),
-        ]
-    }
-
-    fn run(&self, ctx: &mut ExperimentCtx) -> f2_core::Result<ExperimentReport> {
+impl DnaPipeline {
+    /// The whole report. Every round trip runs at the fixed channel seeds
+    /// (42, and `0..sweep_seeds` per sweep point), so nothing here depends
+    /// on the scenario seed.
+    fn round_trips(ctx: &mut SeedlessCtx) {
         ctx.note(&format!("Payload: {} bytes", PAYLOAD.len()));
 
         ctx.section("Round trip across channel profiles");
@@ -324,6 +302,37 @@ impl Experiment for DnaPipeline {
         ctx.note("\nShape check: clean recovery at realistic error rates, graceful");
         ctx.note("breakdown as the channel degrades — the decoding workload whose");
         ctx.note("cost motivates the FPGA accelerator (§VI).");
+    }
+}
+
+impl Experiment for DnaPipeline {
+    fn name(&self) -> &'static str {
+        "dna_pipeline"
+    }
+
+    fn summary(&self) -> &'static str {
+        "E10 / Fig. 6b: end-to-end DNA storage channel round trip"
+    }
+
+    fn tags(&self) -> &'static [&'static str] {
+        &["e10", "dna", "figure"]
+    }
+
+    fn params(&self) -> Vec<ParamSpec> {
+        vec![
+            ParamSpec::u64(
+                "sweep_seeds",
+                "seeds per substitution-sweep point (quick 3, full 5)",
+            ),
+            ParamSpec::f64(
+                "sub_scale",
+                "error-regime multiplier on every swept substitution rate (default 1)",
+            ),
+        ]
+    }
+
+    fn run(&self, ctx: &mut ExperimentCtx) -> f2_core::Result<ExperimentReport> {
+        ctx.seedless("dna_pipeline/round_trips", Self::round_trips);
         Ok(ctx.report(self.name()))
     }
 }

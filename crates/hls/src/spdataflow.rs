@@ -505,64 +505,129 @@ pub fn spgemm_cost(
     SpgemmBlocks::new(a, b, cfg.tile_rows)?.cost(policy, cfg)
 }
 
-/// Models `y = A·x` (dense `x`) under `policy` and `cfg`.
+/// Exact per-block structure statistics of `y = A·x`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SpmvBlockStats {
+    /// Rows of `A` in the block.
+    rows: u64,
+    /// Nonzeros of `A` in the block.
+    nnz: u64,
+    /// Distinct columns of `A` the block references (its `x` working set).
+    distinct_x: u64,
+}
+
+/// The structure pass of `y = A·x` (dense `x`) at one tile size: the exact
+/// statistics of every row-block, from which each policy and buffer size
+/// is costed without another pass over `A`.
 ///
 /// The SpMV specialisations of the three dataflows: inner streams each row
 /// with an uncached gather of `x`, row-wise caches the block's distinct `x`
 /// entries, outer runs column-major with `y` partials in the buffer.
+pub struct SpmvBlocks {
+    /// Rows of `A` per row-block the statistics were gathered at.
+    tile_rows: usize,
+    /// Per-row-block statistics, in row order.
+    blocks: Vec<SpmvBlockStats>,
+}
+
+impl SpmvBlocks {
+    /// Runs the structure pass over `A` in row-blocks of `tile_rows`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HlsError::InvalidConfig`] when `tile_rows` is zero.
+    pub fn new(a: &SparseMatrix, tile_rows: usize) -> Result<Self> {
+        if tile_rows == 0 {
+            return Err(HlsError::InvalidConfig(
+                "tile_rows must be positive".to_string(),
+            ));
+        }
+        let mut x_seen = vec![0u32; a.cols()];
+        let mut stamp = 0u32;
+        let mut blocks = Vec::new();
+        let mut r0 = 0;
+        while r0 < a.rows() {
+            let r1 = (r0 + tile_rows).min(a.rows());
+            stamp += 1;
+            let mut s = SpmvBlockStats {
+                rows: (r1 - r0) as u64,
+                nnz: 0,
+                distinct_x: 0,
+            };
+            for i in r0..r1 {
+                s.nnz += a.row_nnz(i) as u64;
+                for &c in a.row_cols(i) {
+                    if x_seen[c] != stamp {
+                        x_seen[c] = stamp;
+                        s.distinct_x += 1;
+                    }
+                }
+            }
+            blocks.push(s);
+            r0 = r1;
+        }
+        Ok(Self { tile_rows, blocks })
+    }
+
+    /// Models `y = A·x` under `policy` and `cfg`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HlsError::InvalidConfig`] on an invalid configuration or
+    /// when `cfg.tile_rows` is not the tile size of this pass.
+    pub fn cost(&self, policy: Policy, cfg: &SpConfig) -> Result<CostReport> {
+        cfg.validate()?;
+        if cfg.tile_rows != self.tile_rows {
+            return Err(HlsError::InvalidConfig(format!(
+                "tile_rows {} does not match the structure pass's {}",
+                cfg.tile_rows, self.tile_rows
+            )));
+        }
+        let buffer = cfg.buffer_words as u64;
+        let block_costs: Vec<[BlockCost; 3]> = self
+            .blocks
+            .iter()
+            .map(|s| {
+                let a_words = 2 * s.nnz + s.rows + 1;
+                let compute = 2 * s.nnz + s.rows;
+                let inner = BlockCost {
+                    compute,
+                    traffic: a_words + s.nnz + s.rows,
+                    occupancy: 2.min(buffer),
+                };
+                let row_gather = if s.distinct_x <= buffer {
+                    s.distinct_x
+                } else {
+                    s.nnz
+                };
+                let row = BlockCost {
+                    compute,
+                    traffic: a_words + row_gather + s.rows,
+                    occupancy: s.distinct_x.min(buffer),
+                };
+                let y_spill = 2 * s.rows.saturating_sub(buffer);
+                let outer = BlockCost {
+                    compute,
+                    traffic: a_words + s.distinct_x + s.rows + y_spill,
+                    occupancy: s.rows.min(buffer),
+                };
+                [inner, outer, row]
+            })
+            .collect();
+        Ok(fold_blocks(&block_costs, policy, cfg))
+    }
+}
+
+/// Models `y = A·x` (dense `x`) under `policy` and `cfg`: one structure
+/// pass and one costing ([`SpmvBlocks`] reuses the pass across policies
+/// and buffers).
 ///
 /// # Errors
 ///
 /// Returns [`HlsError::InvalidConfig`] on an invalid configuration.
 pub fn spmv_cost(a: &SparseMatrix, policy: Policy, cfg: &SpConfig) -> Result<CostReport> {
     cfg.validate()?;
-    let buffer = cfg.buffer_words as u64;
-    let mut x_seen = vec![0u32; a.cols()];
-    let mut stamp = 0u32;
-    let mut block_costs = Vec::new();
-    let mut r0 = 0;
-    while r0 < a.rows() {
-        let r1 = (r0 + cfg.tile_rows).min(a.rows());
-        stamp += 1;
-        let rows_blk = (r1 - r0) as u64;
-        let mut nnz_blk = 0u64;
-        let mut distinct_x = 0u64;
-        for i in r0..r1 {
-            nnz_blk += a.row_nnz(i) as u64;
-            for &c in a.row_cols(i) {
-                if x_seen[c] != stamp {
-                    x_seen[c] = stamp;
-                    distinct_x += 1;
-                }
-            }
-        }
-        let a_words = 2 * nnz_blk + rows_blk + 1;
-        let compute = 2 * nnz_blk + rows_blk;
-        let inner = BlockCost {
-            compute,
-            traffic: a_words + nnz_blk + rows_blk,
-            occupancy: 2.min(buffer),
-        };
-        let row_gather = if distinct_x <= buffer {
-            distinct_x
-        } else {
-            nnz_blk
-        };
-        let row = BlockCost {
-            compute,
-            traffic: a_words + row_gather + rows_blk,
-            occupancy: distinct_x.min(buffer),
-        };
-        let y_spill = 2 * rows_blk.saturating_sub(buffer);
-        let outer = BlockCost {
-            compute,
-            traffic: a_words + distinct_x + rows_blk + y_spill,
-            occupancy: rows_blk.min(buffer),
-        };
-        block_costs.push([inner, outer, row]);
-        r0 = r1;
-    }
-    Ok(fold_blocks(&block_costs, policy, cfg))
+    SpmvBlocks::new(a, cfg.tile_rows)?.cost(policy, cfg)
 }
 
 #[cfg(test)]
@@ -713,6 +778,65 @@ mod tests {
         };
         assert!(pass.cost(Policy::Adaptive, &other_tile).is_err());
         assert!(SpgemmBlocks::new(&m, &m, 0).is_err());
+    }
+
+    #[test]
+    fn spmv_pass_matches_brute_force_statistics() {
+        for pattern in SparsityPattern::ALL {
+            let a = generate(pattern, 40, 33, 5, 3).expect("valid spec");
+            for tile_rows in [1, 3, 8, 40, 64] {
+                let pass = SpmvBlocks::new(&a, tile_rows).expect("valid");
+                assert_eq!(pass.blocks.len(), a.rows().div_ceil(tile_rows));
+                for (blk, s) in pass.blocks.iter().enumerate() {
+                    let rows = blk * tile_rows..((blk + 1) * tile_rows).min(a.rows());
+                    let cols: std::collections::BTreeSet<usize> = rows
+                        .clone()
+                        .flat_map(|i| a.row_cols(i).iter().copied())
+                        .collect();
+                    let expect = SpmvBlockStats {
+                        rows: rows.len() as u64,
+                        nnz: rows.map(|i| a.row_cols(i).len() as u64).sum(),
+                        distinct_x: cols.len() as u64,
+                    };
+                    assert_eq!(*s, expect, "{pattern:?}, tile {tile_rows}, block {blk}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_spmv_pass_costs_every_policy_on_every_pattern() {
+        let policies = Dataflow::ALL
+            .map(Policy::Fixed)
+            .into_iter()
+            .chain([Policy::Adaptive]);
+        for pattern in SparsityPattern::ALL {
+            let m = matrix(pattern);
+            let pass = SpmvBlocks::new(&m, 8).expect("valid");
+            for buffer_words in [4, 128, 1024] {
+                let cfg = SpConfig {
+                    tile_rows: 8,
+                    buffer_words,
+                    ..SpConfig::default()
+                };
+                for policy in policies.clone() {
+                    assert_eq!(
+                        pass.cost(policy, &cfg).expect("valid"),
+                        spmv_cost(&m, policy, &cfg).expect("valid"),
+                        "{pattern:?}/{}/{buffer_words}",
+                        policy.name()
+                    );
+                }
+            }
+        }
+        let m = matrix(SparsityPattern::Uniform);
+        let pass = SpmvBlocks::new(&m, 8).expect("valid");
+        let other_tile = SpConfig {
+            tile_rows: 16,
+            ..SpConfig::default()
+        };
+        assert!(pass.cost(Policy::Adaptive, &other_tile).is_err());
+        assert!(SpmvBlocks::new(&m, 0).is_err());
     }
 
     #[test]

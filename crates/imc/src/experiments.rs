@@ -2,7 +2,7 @@
 
 use f2_core::energy::{EnergyLedger, OpEnergy, OpKind, TechNode};
 use f2_core::experiment::render::fmt;
-use f2_core::experiment::{Experiment, ExperimentCtx, ExperimentReport, ParamSpec};
+use f2_core::experiment::{Experiment, ExperimentCtx, ExperimentReport, ParamSpec, SeedlessCtx};
 use f2_core::kpi::Megahertz;
 use f2_core::tensor::Matrix;
 
@@ -61,7 +61,10 @@ impl ImcAccuracy {
         ctx.table(&["Scheme", "RMS error (% window)", "Pulses/cell"], &rows);
     }
 
-    fn accuracy_table(&self, ctx: &mut ExperimentCtx) {
+    /// The dataset, the MLP and its deployments draw from the fixed seeds
+    /// 7, 9 and 11, so the table is the same at every scenario seed.
+    fn accuracy_table(ctx: &mut SeedlessCtx) {
+        let _phase = ctx.span("imc:accuracy");
         ctx.section("Deployed MLP accuracy (6-class synthetic task, tiled IMC)");
         let (train_d, test_d, epochs_d) = if ctx.quick() {
             (40, 24, 10)
@@ -191,10 +194,7 @@ impl Experiment for ImcAccuracy {
             let _phase = ctx.span("imc:programming");
             self.programming_table(ctx);
         }
-        {
-            let _phase = ctx.span("imc:accuracy");
-            self.accuracy_table(ctx);
-        }
+        ctx.seedless("imc_accuracy/accuracy", Self::accuracy_table);
         Ok(ctx.report(self.name()))
     }
 }
